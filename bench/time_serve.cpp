@@ -390,8 +390,9 @@ std::vector<KindTiming> runColdWarm(const std::vector<uint8_t> &Bytes,
     }
   }
 
-  // Every function's bundle was needed by all five kind passes but must
-  // have been built exactly once (the once-init contract at bench scale).
+  // Every function's bundle was needed by the four bundle-backed kind
+  // passes (region walks the PST and needs none) but must have been built
+  // exactly once (the once-init contract at bench scale).
   DerivedCacheStats CS = Cached.derivedCacheStats();
   if (CS.Builds != Cached.numFunctions()) {
     std::cerr << "FAIL: expected exactly one bundle build per function ("

@@ -61,38 +61,39 @@ struct ControlRegionsResult {
 Cfg nodeExpand(const Cfg &G);
 
 /// The paper's linear-time algorithm (Theorems 7 + 8). O(N + E).
-/// Materializes T(S) explicitly as a Cfg.
+/// Materializes T(S) explicitly as a Cfg (the ablation of the implicit
+/// path below); cycle equivalence runs over a view of it.
 ControlRegionsResult computeControlRegionsLinear(const Cfg &G);
 
 /// Same algorithm and result, but T(S) is never materialized: the cycle
-/// equivalence solver runs directly over synthesized edge endpoints. This
-/// is the paper's implementation note ("we avoid explicitly expanding
-/// nodes and undirecting edges... the savings in space and time ... are
-/// significant"); bench/time_control_regions compares both.
+/// equivalence solver runs directly over endpoints synthesized from a
+/// \c CfgView. This is the paper's implementation note ("we avoid
+/// explicitly expanding nodes and undirecting edges... the savings in
+/// space and time ... are significant"); bench/time_control_regions
+/// compares both.
 ControlRegionsResult computeControlRegionsLinearImplicit(const Cfg &G);
 
 /// Reusable working memory for \c computeControlRegionsLinearImplicit:
-/// the synthesized T(S) endpoint buffer, the Figure-4 solver scratch, and
+/// the view snapshot of a \c Cfg input, the Figure-4 solver scratch, and
 /// the pre-densification class array. Same reuse contract as
 /// \c CycleEquivScratch (unspecified contents between runs, deterministic
 /// results, single-thread use).
 struct ControlRegionsScratch {
-  UndirectedGraphView View;
+  CfgViewScratch View;
   CycleEquivScratch Solver;
   std::vector<uint32_t> Remap;
 };
 
 /// As \c computeControlRegionsLinearImplicit, with caller-owned working
-/// memory; with the scratch warm only the returned partition allocates.
+/// memory: snapshots \p G into \p Scratch's view and runs the view
+/// overload. With the scratch warm only the returned partition allocates.
 ControlRegionsResult computeControlRegionsLinearImplicit(
     const Cfg &G, ControlRegionsScratch &Scratch);
 
-/// CfgView twin of the scratch-backed implicit path: T(S) endpoints are
+/// The kernel every implicit entry point runs: T(S) endpoints are
 /// synthesized arithmetically from the view and the solver's undirected
 /// adjacency is written straight from the shared CSR segments (see
-/// \c computeCycleEquivalenceTs) — no endpoint buffer, no counting pass.
-/// Byte-identical partitions to the \c Cfg overloads on a view of the same
-/// graph.
+/// \c computeCycleEquivalenceTs).
 ControlRegionsResult computeControlRegionsLinearImplicit(
     const CfgView &V, ControlRegionsScratch &Scratch);
 

@@ -43,7 +43,7 @@ inline constexpr RegionId InvalidRegion = ~RegionId(0);
 
 /// Reusable working memory for PST construction.
 ///
-/// Owns the cycle-equivalence engine (endpoint buffer + solver scratch)
+/// Owns the view snapshot of a \c Cfg input, the cycle-equivalence engine
 /// and the builder's own transients: the edge-traversal clock, the two DFS
 /// walks' visited/stack arrays, and the CSR class->edges grouping. With
 /// the buffers warm, a build allocates only what the returned tree owns.
@@ -51,6 +51,7 @@ inline constexpr RegionId InvalidRegion = ~RegionId(0);
 /// unspecified, results are independent of prior use, and one scratch must
 /// not be shared by two threads at once.
 struct PstBuildScratch {
+  CfgViewScratch View;
   CycleEquivEngine CE;
   std::vector<uint32_t> EdgeTime;
   std::vector<uint8_t> Visited;
@@ -108,32 +109,20 @@ public:
   /// Builds the PST of \p G (which must satisfy \c validateCfg) in O(N + E).
   static ProgramStructureTree build(const Cfg &G);
 
-  /// As \c build, with caller-owned working memory. Produces bit-identical
-  /// trees to the scratch-less overload; repeated builds through one warm
-  /// scratch perform no transient heap allocations. This is the serial
-  /// kernel the batch analyzer (pst/runtime) runs per worker thread.
+  /// As \c build, with caller-owned working memory: snapshots \p G into
+  /// \p Scratch's view and runs the view overload. Repeated builds through
+  /// one warm scratch perform no transient heap allocations.
   static ProgramStructureTree build(const Cfg &G, PstBuildScratch &Scratch);
 
-  /// As \c build, over a frozen CSR view of the graph: cycle equivalence
-  /// consumes the shared adjacency directly and both construction DFS
-  /// walks iterate flat succ segments. Bit-identical trees to the \c Cfg
-  /// overloads on a view of the same graph.
+  /// The kernel every build runs, over a frozen CSR view of the graph:
+  /// cycle equivalence consumes the shared adjacency directly and both
+  /// construction DFS walks iterate flat succ segments. This is the serial
+  /// kernel the batch analyzer (pst/runtime) runs per worker thread.
   static ProgramStructureTree build(const CfgView &V, PstBuildScratch &Scratch);
 
   /// As \c build, but with the cycle-equivalence classes already computed
-  /// (\p CE must come from a return-edge run on \p G). This is the plumbing
-  /// that lets callers owning a re-entrant \c CycleEquivEngine (the
-  /// incremental PST rebuilds many sub-CFGs per commit) avoid the per-run
-  /// buffer allocation inside \c computeCycleEquivalence.
-  static ProgramStructureTree buildWithCycleEquiv(const Cfg &G,
-                                                  CycleEquivResult CE);
-
-  /// Scratch-backed twin of \c buildWithCycleEquiv.
-  static ProgramStructureTree buildWithCycleEquiv(const Cfg &G,
-                                                  CycleEquivResult CE,
-                                                  PstBuildScratch &Scratch);
-
-  /// CfgView twin of the scratch-backed \c buildWithCycleEquiv.
+  /// (\p CE must come from a return-edge run on \p V), for callers that
+  /// time or reuse the two stages separately.
   static ProgramStructureTree buildWithCycleEquiv(const CfgView &V,
                                                   CycleEquivResult CE,
                                                   PstBuildScratch &Scratch);
@@ -195,6 +184,10 @@ public:
   /// True if \p Inner is \p Outer or nested (transitively) inside it.
   bool contains(RegionId Outer, RegionId Inner) const;
 
+  /// Deepest region depth (0 when only the root exists). One scan of the
+  /// region table.
+  uint32_t maxDepth() const;
+
   /// \name Flat array access
   /// The tree's whole arrays (the per-region accessors above read segments
   /// of these). For bulk consumers — the corpus image serializer memcpys
@@ -221,12 +214,6 @@ public:
   bool isExternal() const { return External; }
 
 private:
-  // Shared construction kernel for the Cfg and CfgView overloads; defined
-  // (and only instantiated) in ProgramStructureTree.cpp.
-  template <class GraphT>
-  static ProgramStructureTree buildImpl(const GraphT &G, CycleEquivResult CE,
-                                        PstBuildScratch &S);
-
   /// Points every accessor span at the owned vectors. Called once when a
   /// build finishes and again whenever an owning tree is copied.
   void bindOwned();

@@ -70,30 +70,10 @@ struct CycleEquivResult {
 /// already be strongly connected (used for the node-expanded graph in the
 /// control-region computation).
 ///
-/// Runs in O(N + E) time and space.
+/// Snapshots \p G into a \c CfgView and runs the view overload below, the
+/// one Figure-4 kernel. Runs in O(N + E) time and space.
 CycleEquivResult computeCycleEquivalence(const Cfg &G,
                                          bool AddReturnEdge = true);
-
-/// Advanced entry point: cycle equivalence over a bare endpoint list.
-///
-/// Since Theorem 3 lets the algorithm work on the undirected multigraph,
-/// callers that derive a graph on the fly (e.g. the control-region
-/// computation, which conceptually works on the node-expanded T(S) but
-/// need not materialize it — the paper notes "the savings in space and
-/// time over working with the explicitly transformed graph are
-/// significant") can pass endpoints directly and skip building a Cfg.
-struct UndirectedGraphView {
-  uint32_t NumNodes = 0;
-  /// DFS root (any node of the connected graph).
-  NodeId Root = 0;
-  /// Edge I connects Endpoints[I].first and Endpoints[I].second.
-  std::vector<std::pair<NodeId, NodeId>> Endpoints;
-};
-
-/// Runs the Figure-4 algorithm on \p View. The input must be connected and
-/// bridgeless (e.g. derived from a strongly connected digraph). The result
-/// has one class entry per endpoint pair and HasReturnEdge = false.
-CycleEquivResult computeCycleEquivalenceRaw(const UndirectedGraphView &View);
 
 /// Reusable working memory for the Figure-4 solver.
 ///
@@ -146,18 +126,12 @@ struct CycleEquivScratch {
   std::vector<uint32_t> Hi;
 };
 
-/// As \c computeCycleEquivalenceRaw, with caller-owned working memory; the
-/// steady-state-allocation-free entry point batch pipelines build on.
-CycleEquivResult computeCycleEquivalenceRaw(const UndirectedGraphView &View,
-                                            CycleEquivScratch &Scratch);
-
-/// Cycle equivalence over a frozen CSR view of the CFG — the shared-
-/// adjacency fast path. No endpoint list is materialized and no counting
-/// pass runs: the solver's undirected incidence lists are written directly
-/// by merging each node's succ and pred CSR segments (plus the implicit
-/// return edge when \p AddReturnEdge), and edge endpoints are read from
-/// the view's flat arrays. Results are byte-identical to the \c Cfg
-/// overloads on a view of the same graph.
+/// Cycle equivalence over a frozen CSR view of the CFG. No endpoint list
+/// is materialized and no counting pass runs: the solver's undirected
+/// incidence lists are written directly by merging each node's succ and
+/// pred CSR segments (plus the implicit return edge when
+/// \p AddReturnEdge), and edge endpoints are read from the view's flat
+/// arrays.
 CycleEquivResult computeCycleEquivalence(const CfgView &V, bool AddReturnEdge,
                                          CycleEquivScratch &Scratch);
 
@@ -179,24 +153,15 @@ CycleEquivResult computeCycleEquivalenceTs(const CfgView &V,
 /// small graphs (the incremental PST rebuilds one extracted sub-CFG per
 /// dirty region per commit; the batch analyzer sweeps whole corpora of
 /// mostly-tiny procedures) would pay the full set of solver allocations per
-/// run. The engine keeps the endpoint buffer and a \c CycleEquivScratch
-/// alive across runs; each \c run is otherwise identical to
-/// \c computeCycleEquivalence.
+/// run. The engine keeps a \c CycleEquivScratch alive across runs; each
+/// \c run is otherwise identical to \c computeCycleEquivalence.
 class CycleEquivEngine {
 public:
-  CycleEquivResult run(const Cfg &G, bool AddReturnEdge = true);
-
-  /// Scratch-backed twin of the CfgView overload of
-  /// \c computeCycleEquivalence.
-  CycleEquivResult run(const CfgView &V, bool AddReturnEdge = true);
-
-  /// Scratch-backed twin of \c computeCycleEquivalenceRaw.
-  CycleEquivResult runRaw(const UndirectedGraphView &View) {
-    return computeCycleEquivalenceRaw(View, Solver);
+  CycleEquivResult run(const CfgView &V, bool AddReturnEdge = true) {
+    return computeCycleEquivalence(V, AddReturnEdge, Solver);
   }
 
 private:
-  UndirectedGraphView View;
   CycleEquivScratch Solver;
 };
 

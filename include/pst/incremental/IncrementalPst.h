@@ -39,7 +39,6 @@
 #define PST_INCREMENTAL_INCREMENTALPST_H
 
 #include "pst/core/ProgramStructureTree.h"
-#include "pst/cycleequiv/CycleEquiv.h"
 #include "pst/incremental/DynamicCfg.h"
 
 #include <string>
@@ -191,7 +190,9 @@ private:
   void ensureTablesSized();
 
   DynamicCfg &DG;
-  CycleEquivEngine CeEngine;
+  /// Warm working memory for every (sub-)CFG build: one view snapshot,
+  /// fed to both cycle equivalence and construction.
+  PstBuildScratch Build;
 
   std::vector<Slot> Regions;
   std::vector<RegionId> FreeSlots;

@@ -10,7 +10,9 @@
 /// The per-epoch derived-analysis cache: lazily materialized bundles of
 /// everything a query needs beyond the frozen CFG/PST pair — dominator
 /// tree, postdominator tree, dominance frontiers, the control-dependence
-/// CSR, and the Euler-tour LCA index over the PST.
+/// CSR, and the `regions` summary. The `region` query needs none of these:
+/// it walks the frozen PST's parent chain, on the cached path as on the
+/// uncached one, and never touches a slot.
 ///
 /// One \c DerivedSlot guards one function's bundle with a single atomic
 /// pointer in three states: null (empty), a sentinel (a build is in
@@ -39,7 +41,7 @@
 #ifndef PST_SERVE_DERIVEDCACHE_H
 #define PST_SERVE_DERIVEDCACHE_H
 
-#include "pst/core/PstLca.h"
+#include "pst/core/ProgramStructureTree.h"
 #include "pst/dom/ControlDependenceCsr.h"
 #include "pst/dom/Dominators.h"
 
@@ -51,26 +53,24 @@ namespace pst {
 namespace serve {
 
 /// Everything the query kinds derive from one frozen function:
-/// dom/postdom trees, dominance frontiers, the cdep CSR, the PST LCA
-/// index, and the memoized region summary. Immutable after construction;
-/// self-contained (no references into the views it was built from).
+/// dom/postdom trees, dominance frontiers, the cdep CSR, and the memoized
+/// region summary. Immutable after construction; self-contained (no
+/// references into the views it was built from).
 struct DerivedBundle {
   DerivedBundle(const CfgView &V, const ProgramStructureTree &T)
       : Dom(DomTree::buildIterative(V)), PostDom(DomTree::buildPostDom(V)),
-        Df(V, Dom), Cdep(V, PostDom), Lca(T), MaxDepth(Lca.maxDepth()),
+        Df(V, Dom), Cdep(V, PostDom), MaxDepth(T.maxDepth()),
         NumRegions(T.numRegions()),
         NumCanonicalRegions(T.numCanonicalRegions()) {
     Bytes = sizeof(DerivedBundle) + Dom.bytes() + PostDom.bytes() +
-            Df.bytes() + Cdep.bytes() + Lca.bytes();
+            Df.bytes() + Cdep.bytes();
   }
 
   DomTree Dom;
   DomTree PostDom;
   DominanceFrontiers Df;
   ControlDependenceCsr Cdep;
-  PstLca Lca;
-  /// Memoized `regions` summary (satellite: no per-query region-table
-  /// scan).
+  /// Memoized `regions` summary, so no query rescans the region table.
   uint32_t MaxDepth;
   uint32_t NumRegions;
   uint32_t NumCanonicalRegions;

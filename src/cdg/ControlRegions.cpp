@@ -49,6 +49,8 @@ static ControlRegionsResult densify(std::vector<uint32_t> Raw) {
 ControlRegionsResult pst::computeControlRegionsLinear(const Cfg &G) {
   PST_SPAN("cdg.control_regions");
   // T(S): expand nodes, then close with the return edge end_o -> start_i.
+  // The expansion is materialized, but cycle equivalence still runs over a
+  // view of it: the Cfg overload snapshots H into one.
   Cfg H = nodeExpand(G);
   H.addEdge(2 * G.exit() + 1, 2 * G.entry());
   CycleEquivResult CE = computeCycleEquivalence(H, /*AddReturnEdge=*/false);
@@ -69,50 +71,20 @@ ControlRegionsResult pst::computeControlRegionsLinearImplicit(const Cfg &G) {
 
 ControlRegionsResult pst::computeControlRegionsLinearImplicit(
     const Cfg &G, ControlRegionsScratch &S) {
-  PST_SPAN("cdg.control_regions");
-  // Endpoints of T(S) synthesized in place: node V splits into V_i = 2V
-  // and V_o = 2V+1; representative edge V gets index V; original edge E
-  // becomes (src_o, dst_i); the return edge closes the cycle.
-  uint32_t N = G.numNodes();
-  S.View.NumNodes = 2 * N;
-  S.View.Root = 2 * G.entry();
-  S.View.Endpoints.clear();
-  S.View.Endpoints.reserve(N + G.numEdges() + 1);
-  for (NodeId V = 0; V < N; ++V)
-    S.View.Endpoints.emplace_back(2 * V, 2 * V + 1);
-  for (EdgeId E = 0; E < G.numEdges(); ++E)
-    S.View.Endpoints.emplace_back(2 * G.source(E) + 1, 2 * G.target(E));
-  S.View.Endpoints.emplace_back(2 * G.exit() + 1, 2 * G.entry());
-
-  CycleEquivResult CE = computeCycleEquivalenceRaw(S.View, S.Solver);
-
-  // Densify in first-occurrence order (canonicalizePartition's semantics)
-  // straight into the result, using the scratch remap table.
-  ControlRegionsResult R;
-  R.NodeClass.resize(N);
-  S.Remap.assign(CE.NumClasses, UINT32_MAX);
-  uint32_t Next = 0;
-  for (NodeId V = 0; V < N; ++V) {
-    uint32_t C = CE.classOf(V); // Representative edge of V has EdgeId V.
-    if (S.Remap[C] == UINT32_MAX)
-      S.Remap[C] = Next++;
-    R.NodeClass[V] = S.Remap[C];
-  }
-  R.NumClasses = Next;
-  PST_COUNTER("cdg.runs", 1);
-  PST_COUNTER("cdg.classes", R.NumClasses);
-  return R;
+  return computeControlRegionsLinearImplicit(CfgView::build(G, S.View), S);
 }
 
 ControlRegionsResult pst::computeControlRegionsLinearImplicit(
     const CfgView &V, ControlRegionsScratch &S) {
   PST_SPAN("cdg.control_regions");
-  // Same implicit T(S) run, but over the frozen CSR view: no endpoint
-  // buffer is filled — the solver reads adjacency straight from the
-  // view's succ/pred segments and synthesizes endpoints arithmetically.
+  // T(S) is never materialized: the solver reads adjacency straight from
+  // the view's succ/pred segments and synthesizes endpoints
+  // arithmetically (see computeCycleEquivalenceTs).
   uint32_t N = V.numNodes();
   CycleEquivResult CE = computeCycleEquivalenceTs(V, S.Solver);
 
+  // Densify in first-occurrence order (canonicalizePartition's semantics)
+  // straight into the result, using the scratch remap table.
   ControlRegionsResult R;
   R.NodeClass.resize(N);
   S.Remap.assign(CE.NumClasses, UINT32_MAX);

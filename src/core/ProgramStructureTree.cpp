@@ -85,9 +85,7 @@ ProgramStructureTree ProgramStructureTree::build(const Cfg &G) {
 
 ProgramStructureTree ProgramStructureTree::build(const Cfg &G,
                                                  PstBuildScratch &Scratch) {
-  PST_SPAN("pst.build");
-  return buildWithCycleEquiv(G, Scratch.CE.run(G, /*AddReturnEdge=*/true),
-                             Scratch);
+  return build(CfgView::build(G, Scratch.View), Scratch);
 }
 
 ProgramStructureTree ProgramStructureTree::build(const CfgView &V,
@@ -98,19 +96,8 @@ ProgramStructureTree ProgramStructureTree::build(const CfgView &V,
 }
 
 ProgramStructureTree
-ProgramStructureTree::buildWithCycleEquiv(const Cfg &G, CycleEquivResult CE) {
-  PstBuildScratch Scratch;
-  return buildWithCycleEquiv(G, std::move(CE), Scratch);
-}
-
-// The construction proper, shared between the Cfg and CfgView overloads:
-// both expose numNodes/numEdges/entry/succEdges/target, and the template
-// guarantees the two paths traverse edges in the same order, which is what
-// makes their trees bit-identical.
-template <class GraphT>
-ProgramStructureTree ProgramStructureTree::buildImpl(const GraphT &G,
-                                                     CycleEquivResult CE,
-                                                     PstBuildScratch &S) {
+ProgramStructureTree::buildWithCycleEquiv(const CfgView &G, CycleEquivResult CE,
+                                          PstBuildScratch &S) {
   // Region pairing + nesting only; the cycle-equivalence span nests under
   // pst.build when the caller came through build().
   PST_SPAN("pst.construct");
@@ -133,7 +120,7 @@ ProgramStructureTree ProgramStructureTree::buildImpl(const GraphT &G,
     S.Stack.emplace_back(G.entry(), 0);
     while (!S.Stack.empty()) {
       auto &[V, Next] = S.Stack.back();
-      const auto &Succs = G.succEdges(V);
+      std::span<const EdgeId> Succs = G.succEdges(V);
       if (Next == Succs.size()) {
         S.Stack.pop_back();
         continue;
@@ -218,7 +205,7 @@ ProgramStructureTree ProgramStructureTree::buildImpl(const GraphT &G,
     S.Stack.emplace_back(G.entry(), 0);
     while (!S.Stack.empty()) {
       auto &[V, Next] = S.Stack.back();
-      const auto &Succs = G.succEdges(V);
+      std::span<const EdgeId> Succs = G.succEdges(V);
       if (Next == Succs.size()) {
         S.Stack.pop_back();
         continue;
@@ -274,18 +261,6 @@ ProgramStructureTree ProgramStructureTree::buildImpl(const GraphT &G,
   return T;
 }
 
-ProgramStructureTree
-ProgramStructureTree::buildWithCycleEquiv(const Cfg &G, CycleEquivResult CE,
-                                          PstBuildScratch &S) {
-  return buildImpl(G, std::move(CE), S);
-}
-
-ProgramStructureTree
-ProgramStructureTree::buildWithCycleEquiv(const CfgView &V, CycleEquivResult CE,
-                                          PstBuildScratch &S) {
-  return buildImpl(V, std::move(CE), S);
-}
-
 std::vector<NodeId> ProgramStructureTree::allNodes(RegionId R) const {
   std::vector<NodeId> Out;
   std::vector<RegionId> Work{R};
@@ -299,6 +274,13 @@ std::vector<NodeId> ProgramStructureTree::allNodes(RegionId R) const {
   }
   std::sort(Out.begin(), Out.end());
   return Out;
+}
+
+uint32_t ProgramStructureTree::maxDepth() const {
+  uint32_t Max = 0;
+  for (const SeseRegion &R : RegionsA)
+    Max = std::max(Max, R.Depth);
+  return Max;
 }
 
 bool ProgramStructureTree::contains(RegionId Outer, RegionId Inner) const {

@@ -173,10 +173,13 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
          "fill disagrees with the recorded shape");
   (void)StrBytesExpected;
 
+  // Empty arrays (no edges, no child regions) may have a null data(),
+  // which memcpy must not see even for a zero count.
   auto Copy32 = [&](SectionKind K, uint64_t Base, const uint32_t *Src,
                     uint64_t Count) {
-    std::memcpy(Sec[uint32_t(K)] + (Base - Bias[uint32_t(K)]) * 4, Src,
-                Count * 4);
+    if (Count)
+      std::memcpy(Sec[uint32_t(K)] + (Base - Bias[uint32_t(K)]) * 4, Src,
+                  Count * 4);
   };
   Copy32(SectionKind::SuccOff, F.CsrBase, V.succOff(), N + 1);
   Copy32(SectionKind::PredOff, F.CsrBase, V.predOff(), N + 1);

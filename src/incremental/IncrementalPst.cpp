@@ -355,9 +355,7 @@ bool IncrementalPst::rebuildSubtree(RegionId D,
                                    Regions[D].ExitEdge, &DG.deadEdges());
   if (Sub.BoundaryViolation)
     return false;
-  ProgramStructureTree SubT =
-      ProgramStructureTree::buildWithCycleEquiv(Sub.Graph,
-                                                CeEngine.run(Sub.Graph));
+  ProgramStructureTree SubT = ProgramStructureTree::build(Sub.Graph, Build);
 
   ++Stats.SubtreesRebuilt;
   Stats.NodesReprocessed += Body.size();
@@ -470,8 +468,7 @@ void IncrementalPst::fullRebuild() {
   PST_SPAN_ARG("incremental.full_rebuild", "batch", Stats.Commits);
   std::vector<EdgeId> GlobalOf;
   Cfg M = DG.materialize(&GlobalOf);
-  ProgramStructureTree T =
-      ProgramStructureTree::buildWithCycleEquiv(M, CeEngine.run(M));
+  ProgramStructureTree T = ProgramStructureTree::build(M, Build);
 
   Regions.assign(T.numRegions(), Slot{});
   FreeSlots.clear();

@@ -6,10 +6,11 @@
 // the function to zero-copy views, computes against those views only,
 // and formats one deterministic response line. Analysis-backed query
 // kinds go through the per-epoch DerivedCache by default: first touch of
-// a function materializes its dominator/postdominator/frontier/cdep-CSR/
-// LCA bundle once, and every later query is a lookup. With the cache
-// disabled (ServeOptions::DerivedCache = false) each query derives what
-// it needs from the frozen views on the spot; both paths format
+// a function materializes its dominator/postdominator/frontier/cdep-CSR
+// bundle once, and every later query is a lookup. `region` needs no
+// bundle: it walks the frozen PST's parent chain on both paths. With the
+// cache disabled (ServeOptions::DerivedCache = false) each query derives
+// what it needs from the frozen views on the spot; both paths format
 // byte-identical responses, which tests and time_serve gate on.
 //
 //===----------------------------------------------------------------------===//
@@ -45,7 +46,8 @@ void appendNode(std::string &Out, NodeId N) {
 }
 
 /// Walks both regions to their least common ancestor: the innermost
-/// region containing both nodes.
+/// region containing both nodes. O(depth), on a tree that is already
+/// mapped, so there is nothing worth caching.
 RegionId regionLca(const ProgramStructureTree &T, RegionId A, RegionId B) {
   while (T.region(A).Depth > T.region(B).Depth)
     A = T.region(A).Parent;
@@ -58,12 +60,9 @@ RegionId regionLca(const ProgramStructureTree &T, RegionId A, RegionId B) {
   return A;
 }
 
-void runRegion(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
-               const DerivedBundle *B) {
+void runRegion(const ResolvedFunction &F, const Request &R, QueryScratch &Sc) {
   const ProgramStructureTree &T = F.Pst;
-  RegionId RA = T.regionOfNode(R.A), RB = T.regionOfNode(R.B);
-  // The O(1) Euler-tour index answers exactly what the walk answers.
-  RegionId L = B ? B->Lca.lca(RA, RB) : regionLca(T, RA, RB);
+  RegionId L = regionLca(T, T.regionOfNode(R.A), T.regionOfNode(R.B));
   const SeseRegion &Reg = T.region(L);
   Sc.Out += "ok region fn=" + std::to_string(R.Fn) +
             " a=" + std::to_string(R.A) + " b=" + std::to_string(R.B) +
@@ -86,13 +85,7 @@ void runRegions(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
   // Max depth (and the counts) are properties of the snapshot, not the
   // query; the bundle memoizes them instead of rescanning the region
   // table per request.
-  uint32_t MaxDepth = 0;
-  if (B) {
-    MaxDepth = B->MaxDepth;
-  } else {
-    for (RegionId I = 0; I < T.numRegions(); ++I)
-      MaxDepth = std::max(MaxDepth, T.region(I).Depth);
-  }
+  uint32_t MaxDepth = B ? B->MaxDepth : T.maxDepth();
   uint32_t Count = B ? B->NumRegions : T.numRegions();
   uint32_t Canonical = B ? B->NumCanonicalRegions : T.numCanonicalRegions();
   Sc.Out += "ok regions fn=" + std::to_string(R.Fn) +
@@ -218,7 +211,11 @@ std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
   auto Start = std::chrono::steady_clock::now();
   const Shard &Sh = S.shardOf(R.Fn);
   auto Pin = Sh.pin();
-  uint64_t Lag = Sh.currentVersion() - Pin.version();
+  // EpochTable::publish stores Current before PublishedVersion, so a pin
+  // can land on an epoch newer than currentVersion(); that reader lags by
+  // nothing, not by 2^64-1.
+  uint64_t Published = Sh.currentVersion();
+  uint64_t Lag = Published > Pin.version() ? Published - Pin.version() : 0;
   ResolvedFunction F = Sh.resolve(*Pin, R.Fn);
 
   // Node-argument validation against the *resolved* graph (edits may
@@ -227,8 +224,8 @@ std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
 
   // Analysis-backed kinds share the function's derived bundle: overlay
   // functions carry their slot in the snapshot (so it retires with the
-  // epoch), base-image functions use the server-lifetime cache. Name
-  // lookups and error paths never touch (or build) a bundle.
+  // epoch), base-image functions use the server-lifetime cache. Region
+  // and name lookups and error paths never touch (or build) a bundle.
   auto Bundle = [&]() -> const DerivedBundle * {
     if (!S.derivedCache())
       return nullptr;
@@ -243,7 +240,7 @@ std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
       Sc.Out = "err node out of range";
       return Sc.Out;
     }
-    runRegion(F, R, Sc, Bundle());
+    runRegion(F, R, Sc);
     break;
   case RequestKind::Regions:
     runRegions(F, R, Sc, Bundle());

@@ -9,22 +9,20 @@
 //     reproduce the Cfg accessors element-for-element, and ReversedCfgView
 //     must reproduce a materialized reverseCfg.
 //  3. Byte identity: over the full 254-procedure paper corpus, every
-//     pipeline stage's CfgView overload must produce output identical to
-//     the legacy Cfg path — same cycle-equivalence class ids, same PST
-//     print, same control-region numbering, same idoms/frontiers, same
+//     stage that still has both a Cfg and a CfgView instantiation must
+//     produce identical output on both — same idoms/frontiers, same
 //     dataflow fixpoints, same phi placements. Not "equivalent modulo
 //     renaming": identical, which is what lets analyzeFunction switch
-//     paths without perturbing any downstream consumer.
+//     paths without perturbing any downstream consumer. (Cycle
+//     equivalence, PST construction and control regions have only the
+//     view kernel; their Cfg entry points snapshot a view and call it.)
 //
 //===----------------------------------------------------------------------===//
 
 #include "pst/graph/CfgView.h"
 
-#include "pst/cdg/ControlRegions.h"
 #include "pst/core/ProgramStructureTree.h"
 #include "pst/core/PstDominators.h"
-#include "pst/core/RegionAnalysis.h"
-#include "pst/cycleequiv/CycleEquiv.h"
 #include "pst/dataflow/Dataflow.h"
 #include "pst/dataflow/Problems.h"
 #include "pst/dataflow/Qpg.h"
@@ -200,40 +198,20 @@ TEST(CfgView, IterationEquivalenceOnStructuredFamilies) {
 TEST(CfgViewByteIdentity, StructureStagesMatchLegacyOnFullCorpus) {
   std::vector<CorpusFunction> Corpus = generatePaperCorpus(/*Seed=*/1994);
   CfgViewScratch VS;
-  CycleEquivScratch CES;
   PstBuildScratch PB;
-  ControlRegionsScratch CRS;
 
   for (const CorpusFunction &C : Corpus) {
     const Cfg &G = C.Fn.Graph;
     CfgView V = CfgView::build(G, VS);
-
-    // Cycle equivalence: the same class id for every edge, not merely the
-    // same partition up to renaming.
-    CycleEquivResult CeL = computeCycleEquivalence(G);
-    CycleEquivResult CeV =
-        computeCycleEquivalence(V, /*AddReturnEdge=*/true, CES);
-    ASSERT_EQ(CeL.EdgeClass, CeV.EdgeClass) << C.Fn.Name;
-    ASSERT_EQ(CeL.NumClasses, CeV.NumClasses) << C.Fn.Name;
-
-    // PST: identical shape and node assignment, pinned through the printer.
-    ProgramStructureTree TL = ProgramStructureTree::build(G);
-    ProgramStructureTree TV = ProgramStructureTree::build(V, PB);
-    ASSERT_EQ(formatPst(G, TL), formatPst(G, TV)) << C.Fn.Name;
-
-    // Control regions: identical class numbering.
-    ControlRegionsResult CrL = computeControlRegionsLinearImplicit(G);
-    ControlRegionsResult CrV = computeControlRegionsLinearImplicit(V, CRS);
-    ASSERT_EQ(CrL.NodeClass, CrV.NodeClass) << C.Fn.Name;
-    ASSERT_EQ(CrL.NumClasses, CrV.NumClasses) << C.Fn.Name;
+    ProgramStructureTree T = ProgramStructureTree::build(V, PB);
 
     // Dominators, postdominators, frontiers, and the PST-derived variant.
     DomTree DL = DomTree::buildIterative(G);
     DomTree DV = DomTree::buildIterative(V);
     DomTree PL = DomTree::buildPostDom(G);
     DomTree PV = DomTree::buildPostDom(V);
-    DomTree QL = buildDominatorsViaPst(G, TL);
-    DomTree QV = buildDominatorsViaPst(V, TV);
+    DomTree QL = buildDominatorsViaPst(G, T);
+    DomTree QV = buildDominatorsViaPst(V, T);
     DominanceFrontiers FL(G, DL);
     DominanceFrontiers FV(V, DV);
     for (NodeId N = 0; N < G.numNodes(); ++N) {

@@ -37,6 +37,8 @@
 #include "pst/workload/CfgGenerators.h"
 #include "pst/workload/Corpus.h"
 
+#include "TestTempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -105,7 +107,7 @@ TEST(CorpusImage, FileSaveAndMapPreservesEveryAccessor) {
   CorpusHandles H(/*Seed=*/1994);
   std::vector<uint8_t> Bytes = buildCorpusImage(H.Graphs, H.Names);
 
-  std::string Path = ::testing::TempDir() + "corpus_image_test.img";
+  std::string Path = uniqueTempPath("corpus_image_test.img");
   std::string Error;
   ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
   CorpusImage Img = CorpusImage::map(Path, &Error);
@@ -238,7 +240,7 @@ TEST(CorpusImageRejection, CorruptedPayloadFailsVerifyWithSectionName) {
 TEST(CorpusImageRejection, MapOfMissingFileFails) {
   std::string Error;
   CorpusImage Img =
-      CorpusImage::map(::testing::TempDir() + "does_not_exist.img", &Error);
+      CorpusImage::map(uniqueTempPath("does_not_exist.img"), &Error);
   EXPECT_FALSE(Img.valid());
   EXPECT_NE(Error.find("cannot open"), std::string::npos) << Error;
 }
@@ -250,7 +252,7 @@ TEST(CorpusImageRejection, MapOfMissingFileFails) {
 TEST(CorpusImageByteIdentity, MappedAnalysisMatchesInMemoryOnFullCorpus) {
   CorpusHandles H(/*Seed=*/1994);
   std::vector<uint8_t> Bytes = buildCorpusImage(H.Graphs, H.Names);
-  std::string Path = ::testing::TempDir() + "corpus_image_analysis.img";
+  std::string Path = uniqueTempPath("corpus_image_analysis.img");
   std::string Error;
   ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
   CorpusImage Img = CorpusImage::map(Path, &Error);

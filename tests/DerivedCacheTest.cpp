@@ -1,12 +1,9 @@
-//===- DerivedCacheTest.cpp - derived-analysis cache, LCA index, cdep CSR ----===//
+//===- DerivedCacheTest.cpp - derived-analysis cache, region, cdep CSR -------===//
 //
 // Part of the PST library (see pst/serve/DerivedCache.h for the reference).
 //
 // Three layers, bottom-up:
 //
-//  - PstLcaTest: the Euler-tour + sparse-table region-LCA index against a
-//    parent-chain-walk oracle, on structured shapes and a seed sweep of
-//    random CFGs (plus the memoized maxDepth against a region-table scan).
 //  - CdepCsrTest: the precomputed control-dependence CSR against the
 //    brute-force Ferrante/Ottenstein/Warren scan the uncached query path
 //    runs — same sets, same ascending-edge-id order.
@@ -15,6 +12,10 @@
 //    randomized edit/commit rounds (which also proves refreeze drops stale
 //    bundles), and the TSan-facing suites where readers race first-touch
 //    bundle builds against each other and against committing writers.
+//  - RegionOracleTest: the `region` answer, cached and uncached, against
+//    its definition (the deepest region whose node set holds both query
+//    nodes), on structured shapes, the three 1000-block edit-workload
+//    families, and a seed sweep of random CFGs.
 //
 // The concurrency tests run in CI's thread-sanitizer job; keep new
 // shared-state tests in the *Concurrent* naming pattern so the ctest
@@ -26,7 +27,6 @@
 #include "pst/serve/PstServer.h"
 #include "pst/serve/Snapshot.h"
 
-#include "pst/core/PstLca.h"
 #include "pst/dom/ControlDependenceCsr.h"
 #include "pst/dom/Dominators.h"
 #include "pst/graph/CfgAlgorithms.h"
@@ -45,84 +45,6 @@ using namespace pst;
 using namespace pst::serve;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// PstLca: O(1) LCA vs the parent-chain walk
-//===----------------------------------------------------------------------===//
-
-/// The oracle the index must match exactly: lift the deeper region to the
-/// shallower one's depth, then walk both chains up in lockstep.
-RegionId lcaByWalk(const ProgramStructureTree &T, RegionId A, RegionId B) {
-  while (T.region(A).Depth > T.region(B).Depth)
-    A = T.region(A).Parent;
-  while (T.region(B).Depth > T.region(A).Depth)
-    B = T.region(B).Parent;
-  while (A != B) {
-    A = T.region(A).Parent;
-    B = T.region(B).Parent;
-  }
-  return A;
-}
-
-uint32_t maxDepthByScan(const ProgramStructureTree &T) {
-  uint32_t Max = 0;
-  for (RegionId R = 0; R < T.numRegions(); ++R)
-    Max = std::max(Max, T.region(R).Depth);
-  return Max;
-}
-
-void expectLcaMatchesWalk(const Cfg &G, const char *What) {
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  PstLca L(T);
-  ASSERT_FALSE(L.empty()) << What;
-  EXPECT_EQ(L.maxDepth(), maxDepthByScan(T)) << What;
-  EXPECT_GT(L.bytes(), 0u) << What;
-  for (RegionId A = 0; A < T.numRegions(); ++A)
-    for (RegionId B = 0; B < T.numRegions(); ++B)
-      ASSERT_EQ(L.lca(A, B), lcaByWalk(T, A, B))
-          << What << " regions " << A << "," << B;
-}
-
-TEST(PstLcaTest, DefaultConstructedIsEmpty) {
-  PstLca L;
-  EXPECT_TRUE(L.empty());
-  EXPECT_EQ(L.maxDepth(), 0u);
-}
-
-TEST(PstLcaTest, StructuredShapesMatchWalk) {
-  expectLcaMatchesWalk(chainCfg(5), "chain");
-  expectLcaMatchesWalk(diamondLadderCfg(4), "diamond ladder");
-  expectLcaMatchesWalk(nestedWhileCfg(3), "nested while");
-  expectLcaMatchesWalk(nestedRepeatUntilCfg(3), "nested repeat-until");
-  expectLcaMatchesWalk(irreducibleCfg(2), "irreducible");
-  expectLcaMatchesWalk(paperFigure1Cfg(), "paper figure 1");
-}
-
-TEST(PstLcaTest, LcaIsReflexiveSymmetricAndRootAbsorbing) {
-  ProgramStructureTree T = ProgramStructureTree::build(nestedWhileCfg(3));
-  PstLca L(T);
-  for (RegionId A = 0; A < T.numRegions(); ++A) {
-    EXPECT_EQ(L.lca(A, A), A);
-    EXPECT_EQ(L.lca(A, 0), 0u); // Region 0 is the synthetic root.
-    for (RegionId B = 0; B < T.numRegions(); ++B)
-      EXPECT_EQ(L.lca(A, B), L.lca(B, A));
-  }
-}
-
-class PstLcaRandomTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PstLcaRandomTest, MatchesWalkOnRandomCfgs) {
-  Rng R(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
-  RandomCfgOptions Opts;
-  Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(40));
-  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(30));
-  Cfg G = randomBackboneCfg(R, Opts);
-  ASSERT_TRUE(validateCfg(G));
-  expectLcaMatchesWalk(G, "random");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PstLcaRandomTest,
-                         ::testing::Range<uint64_t>(0, 40));
 
 //===----------------------------------------------------------------------===//
 // ControlDependenceCsr: precomputed relation vs the FOW scan
@@ -246,7 +168,16 @@ Request makeRequest(RequestKind K, uint64_t Fn, NodeId A = InvalidNode,
   return R;
 }
 
-/// Every derived-analysis-backed query kind, for every node of \p Fn.
+/// Queries in \p Batch that resolve a bundle (a hit, a wait, or a build):
+/// every kind but `region` and `name`.
+uint64_t bundleBacked(const std::vector<Request> &Batch) {
+  uint64_t N = 0;
+  for (const Request &R : Batch)
+    N += R.Kind != RequestKind::Region && R.Kind != RequestKind::Name;
+  return N;
+}
+
+/// Every analysis query kind, for every node of \p Fn.
 std::vector<Request> queryBattery(const PstServer &S, uint64_t Fn) {
   std::vector<Request> Batch;
   // Node ids come from the base image so the battery is identical across
@@ -305,12 +236,13 @@ TEST(DerivedCacheTest, WarmPassIsAllHitsAndBuildsNothing) {
   EXPECT_EQ(Warm, Cold);
   EXPECT_EQ(AfterWarm.Builds, AfterCold.Builds); // Nothing rebuilt.
   EXPECT_EQ(AfterWarm.BytesBuilt, AfterCold.BytesBuilt);
-  EXPECT_EQ(AfterWarm.Hits, AfterCold.Hits + Batch.size());
+  EXPECT_EQ(AfterWarm.Hits, AfterCold.Hits + bundleBacked(Batch));
 }
 
 TEST(DerivedCacheTest, NameAndErrorQueriesNeverMaterializeABundle) {
   PstServer S(makeTestImage());
   S.execute(makeRequest(RequestKind::Name, 0));
+  S.execute(makeRequest(RequestKind::Region, 0, 1, 2)); // Parent walk.
   S.execute(makeRequest(RequestKind::Dom, 0, 999));   // err: node range.
   S.execute(makeRequest(RequestKind::Name, 999));     // err: fn range.
   DerivedCacheStats St = S.derivedCacheStats();
@@ -323,7 +255,7 @@ TEST(DerivedCacheTest, NameAndErrorQueriesNeverMaterializeABundle) {
 /// commit stream, and after every commit the full query battery must be
 /// byte-identical. Every commit refreezes edited functions into new
 /// snapshots, so a cached answer reflecting a *stale* bundle (or an
-/// uncached answer diverging from the CSR/LCA paths) fails here.
+/// uncached answer diverging from the CSR path) fails here.
 TEST(DerivedCacheTest, CachedMatchesUncachedAcrossRandomizedEditRounds) {
   ServeOptions On, Off;
   On.NumShards = 2;
@@ -423,13 +355,12 @@ TEST(DerivedCacheTest, ConcurrentFirstTouchBuildsAreExactlyOnce) {
     T.join();
 
   // Exactly one build per function, no matter how the race went. Every
-  // query resolves as a build or (possibly after a wait episode) a hit,
-  // so hits + builds is exactly the query count; waits are extra
-  // episodes, not outcomes.
+  // bundle-backed query resolves as a build or (possibly after a wait
+  // episode) a hit, so hits + builds is exactly that query count; waits
+  // are extra episodes, not outcomes.
   DerivedCacheStats St = S.derivedCacheStats();
   EXPECT_EQ(St.Builds, S.numFunctions());
-  EXPECT_EQ(St.Hits + St.Builds,
-            static_cast<uint64_t>(Battery.size()) * NumReaders);
+  EXPECT_EQ(St.Hits + St.Builds, bundleBacked(Battery) * NumReaders);
 
   for (int R = 1; R < NumReaders; ++R)
     ASSERT_EQ(Got[R], Got[0]) << "reader " << R;
@@ -503,5 +434,143 @@ TEST(DerivedCacheTest, ConcurrentReadersDuringCommits) {
   // answers never flickered (asserted in-loop above).
   EXPECT_GE(S.derivedCacheStats().Builds, S.numFunctions());
 }
+
+//===----------------------------------------------------------------------===//
+// region: cached and uncached answers vs the deepest containing region
+//===----------------------------------------------------------------------===//
+
+/// A memory-backed image holding \p G as its only function, fn 0.
+CorpusImage singleFunctionImage(const Cfg &G) {
+  std::vector<const Cfg *> Ptrs{&G};
+  std::vector<std::string> Names{"fn0"};
+  std::string Error;
+  CorpusImage Img = CorpusImage::fromBytes(buildCorpusImage(Ptrs, Names),
+                                           &Error);
+  EXPECT_TRUE(Img.valid()) << Error;
+  return Img;
+}
+
+/// Runs `region` on every pair in \p Pairs against a one-function image
+/// of \p G, on a cached and an uncached server, and checks each full
+/// response against the definition: the answer is the deepest region
+/// whose allNodes holds both nodes. The regions holding a node form a
+/// chain (canonical regions nest or are disjoint), so it is unique.
+void expectRegionMatchesOracle(
+    const Cfg &G, const std::vector<std::pair<NodeId, NodeId>> &Pairs,
+    const std::string &What) {
+  ServeOptions Off;
+  Off.DerivedCache = false;
+  PstServer Cached(singleFunctionImage(G));
+  PstServer Uncached(singleFunctionImage(G), Off);
+
+  ProgramStructureTree T = Cached.image().pst(0);
+  std::vector<std::vector<bool>> Holds(T.numRegions(),
+                                       std::vector<bool>(G.numNodes()));
+  for (RegionId R = 0; R < T.numRegions(); ++R)
+    for (NodeId N : T.allNodes(R))
+      Holds[R][N] = true;
+  auto EdgeText = [](EdgeId E) {
+    return E == InvalidEdge ? std::string("-") : std::to_string(E);
+  };
+
+  for (auto [A, B] : Pairs) {
+    RegionId Want = InvalidRegion;
+    for (RegionId R = 0; R < T.numRegions(); ++R)
+      if (Holds[R][A] && Holds[R][B] &&
+          (Want == InvalidRegion || T.region(R).Depth > T.region(Want).Depth))
+        Want = R;
+    ASSERT_NE(Want, InvalidRegion) << What; // The root holds every node.
+    const SeseRegion &Reg = T.region(Want);
+    std::string Expected =
+        "ok region fn=0 a=" + std::to_string(A) + " b=" + std::to_string(B) +
+        " region=" + std::to_string(Want) +
+        " depth=" + std::to_string(Reg.Depth) +
+        " entry=" + EdgeText(Reg.EntryEdge) +
+        " exit=" + EdgeText(Reg.ExitEdge);
+    Request Q = makeRequest(RequestKind::Region, 0, A, B);
+    ASSERT_EQ(Cached.execute(Q), Expected) << What;
+    ASSERT_EQ(Uncached.execute(Q), Expected) << What;
+  }
+  // The answers came from the parent walk: no bundle was built.
+  EXPECT_EQ(Cached.derivedCacheStats().Builds, 0u) << What;
+}
+
+std::vector<std::pair<NodeId, NodeId>> allPairs(const Cfg &G) {
+  std::vector<std::pair<NodeId, NodeId>> Pairs;
+  for (NodeId A = 0; A < G.numNodes(); ++A)
+    for (NodeId B = 0; B < G.numNodes(); ++B)
+      Pairs.emplace_back(A, B);
+  return Pairs;
+}
+
+TEST(RegionOracleTest, StructuredShapesMatchDeepestContainingRegion) {
+  for (auto &[G, What] : std::vector<std::pair<Cfg, std::string>>{
+           {chainCfg(5), "chain"},
+           {diamondLadderCfg(4), "diamond ladder"},
+           {nestedWhileCfg(3), "nested while"},
+           {nestedRepeatUntilCfg(3), "nested repeat-until"},
+           {irreducibleCfg(2), "irreducible"},
+           {paperFigure1Cfg(), "paper figure 1"}})
+    expectRegionMatchesOracle(G, allPairs(G), What);
+}
+
+TEST(RegionOracleTest, RegionIsReflexiveSymmetricAndRootAbsorbing) {
+  Cfg G = nestedWhileCfg(3);
+  PstServer S(singleFunctionImage(G));
+  ProgramStructureTree T = S.image().pst(0);
+  // The `region=...` tail of a response (the head echoes a and b).
+  auto Answer = [&](NodeId A, NodeId B) {
+    std::string Resp = S.execute(makeRequest(RequestKind::Region, 0, A, B));
+    return Resp.substr(Resp.find(" region="));
+  };
+  for (NodeId A = 0; A < G.numNodes(); ++A) {
+    std::string Own = " region=" + std::to_string(T.regionOfNode(A)) + " ";
+    EXPECT_EQ(Answer(A, A).rfind(Own, 0), 0u) << A;
+    // The entry node sits in the root, which absorbs every query.
+    EXPECT_EQ(Answer(A, G.entry()).rfind(" region=0 ", 0), 0u) << A;
+    for (NodeId B = 0; B < G.numNodes(); ++B)
+      EXPECT_EQ(Answer(A, B), Answer(B, A)) << A << "," << B;
+  }
+}
+
+/// The three 1000-block families of the edit workload: a diamond ladder,
+/// a 499-deep loop nest, and a goto-heavy random graph. All pairs would
+/// be a million queries per family, so each node is paired with itself,
+/// its mirror, and one seeded random partner.
+TEST(RegionOracleTest, ServeEditFamiliesMatchDeepestContainingRegion) {
+  Rng R(0x90e0000);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 1000;
+  Opts.NumExtraEdges = 400;
+  for (auto &[G, What] : std::vector<std::pair<Cfg, std::string>>{
+           {diamondLadderCfg(250), "diamond ladder"},
+           {nestedWhileCfg(499, 4), "loop nest"},
+           {randomBackboneCfg(R, Opts), "goto-heavy"}}) {
+    ASSERT_TRUE(validateCfg(G)) << What;
+    std::vector<std::pair<NodeId, NodeId>> Pairs;
+    uint32_t N = G.numNodes();
+    for (NodeId A = 0; A < N; ++A) {
+      Pairs.emplace_back(A, A);
+      Pairs.emplace_back(A, N - 1 - A);
+      Pairs.emplace_back(A, static_cast<NodeId>(R.nextBelow(N)));
+    }
+    expectRegionMatchesOracle(G, Pairs, What);
+  }
+}
+
+class RegionOracleRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RegionOracleRandomTest, MatchesDeepestContainingRegionOnRandomCfgs) {
+  Rng R(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(40));
+  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(30));
+  Cfg G = randomBackboneCfg(R, Opts);
+  ASSERT_TRUE(validateCfg(G));
+  expectRegionMatchesOracle(G, allPairs(G), "random");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RegionOracleRandomTest,
+                         ::testing::Range<uint64_t>(0, 40));
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "pst/serve/Snapshot.h"
 
 #include "pst/dom/Dominators.h"
+#include "pst/obs/Telemetry.h"
 #include "pst/workload/CfgGenerators.h"
 
 #include <gtest/gtest.h>
@@ -541,6 +542,48 @@ TEST(PstServerTest, ConcurrentBatchesDuringCommits) {
 
   std::string Why;
   EXPECT_TRUE(Server.shardOf(0).verifyPublished(&Why)) << Why;
+}
+
+/// EpochTable::publish stores Current before PublishedVersion, so a
+/// reader can pin the new epoch while currentVersion() still names the
+/// old one. The recorded serve.epoch_lag must clamp that case to 0 rather
+/// than wrap to 2^64-1: no reader can lag by more epochs than were
+/// committed.
+TEST(PstServerTest, ConcurrentReadersRecordBoundedEpochLag) {
+  constexpr int NumReaders = 3;
+  constexpr uint64_t NumCommits = 200;
+  Telemetry::setEnabled(true);
+  TelemetryRegistry::global().reset();
+  {
+    ServeOptions Opts;
+    Opts.NumShards = 1;
+    PstServer Server(makeTestImage(), Opts);
+    std::atomic<bool> Stop{false};
+    std::vector<std::thread> Readers;
+    for (int R = 0; R < NumReaders; ++R)
+      Readers.emplace_back([&] {
+        QueryScratch Sc;
+        while (!Stop.load(std::memory_order_relaxed))
+          Server.execute(makeRequest(RequestKind::Region, 0, 1, 2), Sc);
+      });
+    Shard &S0 = Server.shardOf(0);
+    for (uint64_t C = 0; C < NumCommits; ++C) {
+      ASSERT_NE(S0.addBlock(0, 0, 1), InvalidNode);
+      S0.commit();
+    }
+    Stop.store(true);
+    for (std::thread &T : Readers)
+      T.join();
+  }
+  TelemetrySnapshot Snap = TelemetryRegistry::global().snapshot();
+  Telemetry::setEnabled(false);
+  TelemetryRegistry::global().reset();
+
+  const ValueStats &Lag = Snap.Values["serve.epoch_lag"];
+#if PST_TELEMETRY
+  EXPECT_GT(Lag.Count, 0u);
+#endif
+  EXPECT_LE(Lag.Max, NumCommits);
 }
 
 //===----------------------------------------------------------------------===//

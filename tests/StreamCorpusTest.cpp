@@ -29,6 +29,8 @@
 #include "pst/runtime/BatchAnalyzer.h"
 #include "pst/workload/Corpus.h"
 
+#include "TestTempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -161,9 +163,10 @@ void expectStreamBuildMatches(uint64_t NumFunctions,
   BatchOptions BO;
   BO.NumThreads = Threads;
   BatchAnalyzer A(BO);
-  std::string Path = ::testing::TempDir() + "stream_build_" + What + "_" +
+  std::string Path =
+      uniqueTempPath(std::string("stream_build_") + What + "_" +
                      std::to_string(Chunk) + "_" + std::to_string(Threads) +
-                     ".img";
+                     ".img");
   std::string Error;
   ASSERT_TRUE(A.buildImageStream(NumFunctions, Produce, Chunk, Path, &Error))
       << What << ": " << Error;
@@ -254,7 +257,7 @@ TEST(StreamAnalysis, SinkSeesMaterializedResultsInOrder) {
   CorpusHandles H(/*Seed=*/1994);
   BatchAnalyzer A;
   std::vector<uint8_t> Bytes = buildCorpusImage(H.Graphs, H.Names);
-  std::string Path = ::testing::TempDir() + "stream_analysis.img";
+  std::string Path = uniqueTempPath("stream_analysis.img");
   std::string Error;
   ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
   CorpusImage Img = CorpusImage::map(Path, &Error);
@@ -337,7 +340,7 @@ void buildSmallImageFile(const std::string &Path) {
 }
 
 TEST(VerifyImageFile, AcceptsAFreshStreamBuild) {
-  std::string Path = ::testing::TempDir() + "verify_good.img";
+  std::string Path = uniqueTempPath("verify_good.img");
   buildSmallImageFile(Path);
   std::string Error;
   EXPECT_TRUE(verifyImageFile(Path, &Error)) << Error;
@@ -349,7 +352,7 @@ TEST(VerifyImageFile, AcceptsAFreshStreamBuild) {
 }
 
 TEST(VerifyImageFile, RejectsPayloadCorruption) {
-  std::string Path = ::testing::TempDir() + "verify_corrupt.img";
+  std::string Path = uniqueTempPath("verify_corrupt.img");
   buildSmallImageFile(Path);
   std::vector<uint8_t> Bytes = readFileBytes(Path);
   ASSERT_GT(Bytes.size(), 1024u);
@@ -365,7 +368,7 @@ TEST(VerifyImageFile, RejectsPayloadCorruption) {
 }
 
 TEST(VerifyImageFile, RejectsTruncation) {
-  std::string Path = ::testing::TempDir() + "verify_trunc.img";
+  std::string Path = uniqueTempPath("verify_trunc.img");
   buildSmallImageFile(Path);
   std::vector<uint8_t> Bytes = readFileBytes(Path);
   Bytes.resize(Bytes.size() - 64);
@@ -380,8 +383,7 @@ TEST(VerifyImageFile, RejectsTruncation) {
 
 TEST(VerifyImageFile, RejectsMissingFile) {
   std::string Error;
-  EXPECT_FALSE(verifyImageFile(
-      ::testing::TempDir() + "no_such_image.img", &Error));
+  EXPECT_FALSE(verifyImageFile(uniqueTempPath("no_such_image.img"), &Error));
   EXPECT_FALSE(Error.empty());
 }
 
@@ -390,7 +392,7 @@ TEST(VerifyImageFile, RejectsMissingFile) {
 //===----------------------------------------------------------------------===//
 
 TEST(StreamImageWriter, RefusesFillBeforeAllShapes) {
-  std::string Path = ::testing::TempDir() + "writer_contract.img";
+  std::string Path = uniqueTempPath("writer_contract.img");
   StreamImageWriter W(Path, /*NumFunctions=*/4);
   ASSERT_TRUE(W.valid());
   Cfg G;

@@ -28,6 +28,8 @@
 #include "pst/workload/Corpus.h"
 #include "pst/workload/CorpusStream.h"
 
+#include "TestTempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -610,7 +612,7 @@ TEST_F(TelemetryTest, CounterGoldenStreamPipeline) {
   BatchOptions Opts;
   Opts.NumThreads = 1;
   BatchAnalyzer Engine(Opts);
-  std::string Path = ::testing::TempDir() + "telemetry_stream.img";
+  std::string Path = uniqueTempPath("telemetry_stream.img");
   std::string Error;
   ASSERT_TRUE(Engine.buildImageStream(SO.Count, Produce, /*ChunkFunctions=*/17,
                                       Path, &Error))
