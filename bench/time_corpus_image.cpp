@@ -14,10 +14,12 @@
 //            map number reflects the default (structural-validation-only)
 //            path;
 //
-// plus the one-time image build cost (serial and thread-pool parallel)
-// and the image size. Every run cross-checks byte identity: the FNV
-// fingerprint of each mapped PST's flat arrays must equal the freshly
-// built tree's — a wrong-but-fast map is a failure, not a result.
+// plus the one-time image build cost (serial in memory, and the pooled
+// out-of-core file build per thread count, whose bytes must equal the
+// serial build's) and the image size. Every run cross-checks byte
+// identity: the FNV fingerprint of each mapped PST's flat arrays must
+// equal the freshly built tree's — a wrong-but-fast map is a failure,
+// not a result.
 //
 // Emits a human-readable table on stdout and machine-readable
 // BENCH_image.json in the working directory.
@@ -115,7 +117,7 @@ struct CorpusReport {
   size_t Functions = 0;
   uint64_t ImageBytes = 0;
   double BuildSerialSec = 0;   ///< One-time serial image build.
-  double BuildParallelSec = 0; ///< One-time pool-parallel image build
+  double BuildParallelSec = 0; ///< One-time pooled file build
                                ///< (first sweep entry).
   std::vector<ParallelBuildRun> ParallelSweep; ///< One per --threads entry.
   double ColdBuildSec = 0;     ///< No-image cold start (view+PST per fn).
@@ -124,6 +126,12 @@ struct CorpusReport {
   double Speedup = 0;          ///< ColdBuildSec / ColdMapSec.
   bool Identical = false;      ///< Mapped PSTs == built PSTs, byte for byte.
 };
+
+std::vector<uint8_t> readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(In),
+                              std::istreambuf_iterator<char>());
+}
 
 /// Repeats \p Body until the window is long enough to trust; returns
 /// seconds per round.
@@ -147,26 +155,37 @@ CorpusReport benchCorpus(const std::string &Name,
   R.Name = Name;
   R.Functions = Fns.size();
 
-  // One-time build cost, serial and one parallel run per --threads entry.
+  // One-time build cost: serial in memory, and one pooled file build
+  // (buildImageStream) per --threads entry, which must reproduce the
+  // serial bytes exactly.
   std::vector<uint8_t> Bytes;
   R.BuildSerialSec = timeRounds(0.3, [&] { Bytes = buildCorpusImage(Fns); });
+  std::string Error;
   {
-    std::vector<Cfg> Owned;
-    Owned.reserve(Fns.size());
-    for (const Cfg *G : Fns)
-      Owned.push_back(*G);
+    ChunkProducer Produce = [Fns](uint64_t Begin, uint64_t Count,
+                                  std::vector<Cfg> &Graphs,
+                                  std::vector<std::string> &Names) {
+      Graphs.clear();
+      for (uint64_t K = 0; K < Count; ++K)
+        Graphs.push_back(*Fns[Begin + K]);
+      Names.assign(Count, std::string());
+    };
     for (unsigned T : ThreadSweep) {
       BatchOptions BO;
       BO.NumThreads = T;
       BatchAnalyzer Engine(BO);
-      std::vector<uint8_t> Parallel;
       ParallelBuildRun Run;
       Run.Threads = T;
       Run.Workers = Engine.numWorkers();
-      Run.Seconds =
-          timeRounds(0.3, [&] { Parallel = Engine.buildImage(Owned); });
-      if (Parallel != Bytes) {
-        std::cerr << "FATAL: parallel image build diverged from serial\n";
+      Run.Seconds = timeRounds(0.3, [&] {
+        if (!Engine.buildImageStream(Fns.size(), Produce, 4096, Path,
+                                     &Error)) {
+          std::cerr << "FATAL: " << Error << "\n";
+          std::exit(1);
+        }
+      });
+      if (readFile(Path) != Bytes) {
+        std::cerr << "FATAL: pooled image build diverged from serial\n";
         std::exit(1);
       }
       R.ParallelSweep.push_back(Run);
@@ -174,11 +193,7 @@ CorpusReport benchCorpus(const std::string &Name,
     R.BuildParallelSec = R.ParallelSweep.front().Seconds;
   }
   R.ImageBytes = Bytes.size();
-  std::string Error;
-  if (!writeImageFile(Path, Bytes, &Error)) {
-    std::cerr << "FATAL: " << Error << "\n";
-    std::exit(1);
-  }
+  // Path now holds the last pooled build, which equals Bytes.
 
   // The no-image cold start: freeze adjacency and build the PST for every
   // function, warm scratch (steady-state floor of the in-memory path).

@@ -17,7 +17,8 @@
 // sampled after every size, and because ru_maxrss is a monotone
 // high-water mark, the whole pipeline must stay bounded for the gate to
 // pass — peak RSS after the largest size must be at most 2x peak RSS
-// after the 100k size, else the bench exits 1. A pipeline that held the
+// after the 100k size (when a larger size ran; else the second-largest
+// size), else the bench exits 1. A pipeline that held the
 // corpus (or the image) in memory would blow this by an order of
 // magnitude.
 //
@@ -273,23 +274,26 @@ int main(int Argc, char **Argv) {
   // The bounded-memory gate: peak RSS is a process-monotone high-water
   // mark, so if the largest corpus (10x the functions) at most doubles it
   // over the 100k point, no stage held the corpus or the image in memory.
-  // The reference point is the second-largest size when 100k isn't run.
+  // Sizes run in the order given, largest last. The reference is 100k
+  // only when a larger size ran — otherwise the gate would compare the
+  // 100k report with itself — and else the second-largest size.
   bool GatePass = true;
   uint64_t RssSmall = 0, RssLarge = 0;
   if (Reports.size() >= 2) {
+    const SizeReport &Large = Reports.back();
     const SizeReport *Ref = &Reports[Reports.size() - 2];
     for (const SizeReport &S : Reports)
-      if (S.Functions == 100000)
+      if (S.Functions == 100000 && S.Functions < Large.Functions)
         Ref = &S;
     RssSmall = Ref->PeakRssAfter;
-    RssLarge = Reports.back().PeakRssAfter;
+    RssLarge = Large.PeakRssAfter;
     GatePass = RssSmall == 0 || RssLarge <= 2 * RssSmall;
     std::printf("\nRSS gate: %.1f MB after %llu fns vs %.1f MB after %llu "
                 "fns (ratio %.2f, limit 2.00) -> %s\n",
                 double(RssSmall) / 1e6,
                 static_cast<unsigned long long>(Ref->Functions),
                 double(RssLarge) / 1e6,
-                static_cast<unsigned long long>(Reports.back().Functions),
+                static_cast<unsigned long long>(Large.Functions),
                 RssSmall ? double(RssLarge) / double(RssSmall) : 0.0,
                 GatePass ? "pass" : "FAIL");
   }

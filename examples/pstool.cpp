@@ -57,6 +57,7 @@
 #include "pst/workload/CorpusStream.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -243,14 +244,14 @@ int genImage(const Options &Opt) {
 /// Handles --save-image: freezes \p Fns (with \p Names) into one image.
 int saveImage(const std::string &Path, std::span<const Cfg *const> Fns,
               std::span<const std::string> Names) {
-  std::vector<uint8_t> Bytes = buildCorpusImage(Fns, Names);
   std::string Error;
-  if (!writeImageFile(Path, Bytes, &Error)) {
+  if (!buildCorpusImage(Path, Fns, Names, &Error)) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
   std::cout << "\nwrote corpus image " << Path << " (" << Fns.size()
-            << " function(s), " << Bytes.size() << " bytes)\n";
+            << " function(s), " << std::filesystem::file_size(Path)
+            << " bytes)\n";
   return 0;
 }
 

@@ -160,8 +160,8 @@ uint64_t fnv1a(const void *Data, uint64_t Bytes);
 /// Incremental FNV-1a: folds \p Bytes more bytes into running state \p H.
 /// Seed with \c Fnv1aBasis; chaining updates over consecutive windows
 /// equals one fnv1a over the concatenation, which is what lets the
-/// out-of-core builder and \c verifyImageFile checksum multi-gigabyte
-/// sections through a bounded buffer.
+/// writer's file destination and \c verifyImageFile checksum
+/// multi-gigabyte sections through a bounded buffer.
 inline constexpr uint64_t Fnv1aBasis = 0xcbf29ce484222325ull;
 uint64_t fnv1aUpdate(uint64_t H, const void *Data, uint64_t Bytes);
 
@@ -177,11 +177,10 @@ struct FunctionShape {
   uint64_t StrBytes = 0;
 };
 
-/// The computed file layout: the per-function offset table plus where each
-/// section lands in the file. Pure arithmetic over \c FunctionShape — no
-/// arrays are materialized, which is what makes >4 GiB layouts unit-testable.
+/// Where each section lands in the file. Pure arithmetic over the layout
+/// cursor's totals — no arrays are materialized, which is what makes
+/// >4 GiB layouts unit-testable.
 struct ImageLayout {
-  std::vector<FuncRecord> Funcs;
   /// Payload byte size per section, indexed by SectionKind.
   uint64_t SectionBytes[NumSections] = {};
   /// File byte offset per section, each a multiple of SectionAlign.
@@ -189,23 +188,17 @@ struct ImageLayout {
   uint64_t FileBytes = 0;
 };
 
-/// The one offset-table fixup pass: prefix sums over the shapes, then the
-/// section table (header + section descriptors + aligned payloads).
-ImageLayout computeCorpusLayout(std::span<const FunctionShape> Shapes);
-
 /// Computes one function's layout facts. \p T must be the PST of \p G.
-/// Both the in-memory builder's setShape and the streaming writer reduce
-/// to this, so the two paths cannot disagree about a function's shape.
+/// Every path that records a shape reduces to this, so no two builds can
+/// disagree about a function's shape.
 FunctionShape functionShape(const Cfg &G, const ProgramStructureTree &T,
                             std::string_view Name = {});
 
 /// The running prefix sums of the layout pass. append() folds one shape
 /// in and returns its finished FuncRecord; the final totals are the
-/// global element counts every section's byte size derives from.
-/// computeCorpusLayout consumes shapes through this cursor and the
-/// out-of-core StreamImageWriter feeds it one shape at a time — same
-/// arithmetic, so a streamed offset table is the materialized one byte
-/// for byte at any chunk size.
+/// global element counts every section's byte size derives from. The
+/// writer feeds it one shape at a time, so the offset table is the same
+/// at any chunk size and for either destination.
 struct LayoutCursor {
   uint64_t Nodes = 0;     ///< Elements of NodeRegion/ImmVal/NodeLabelOff.
   uint64_t Edges = 0;     ///< Elements of the six edge arrays + EdgeRegion/EntryOf/ExitOf.
@@ -218,166 +211,145 @@ struct LayoutCursor {
   FuncRecord append(const FunctionShape &S);
 };
 
-/// Fills \p L's SectionBytes/SectionOffset/FileBytes from the cursor's
-/// final totals (L.Funcs is left alone — streamed layouts never hold the
-/// offset table in memory). Second half of computeCorpusLayout.
+/// Fills \p L from the cursor's final totals: the section table (header +
+/// section descriptors + aligned payloads) of a \p NumFunctions image.
 void finalizeSectionLayout(uint64_t NumFunctions, const LayoutCursor &Cur,
                            ImageLayout &L);
 
 } // namespace image
 
-/// Builds a corpus image arena in three phases so a thread pool can fan
-/// out the per-function work (BatchAnalyzer::buildImage does; the serial
-/// \c buildCorpusImage below drives the same phases inline):
+/// The one writer of the image format. It builds an image in three phases
+/// and writes it to one of two destinations, chosen by the constructor:
 ///
-///   1. setShape(I, ...)  per function, any thread, distinct I
-///   2. layout()          serial: the offset-table fixup pass
-///   3. fill(I, ...)      per function, any thread, distinct I
-///      finish()          serial: checksums + header; yields the bytes
+///   file    (Path, NumFunctions): a unique sibling temp file
+///           `<Path>.tmp.<pid>.<n>`, renamed over \p Path only after
+///           finish() has written the header and section table. A process
+///           that has the old \p Path mapped keeps reading the old bytes,
+///           and an abandoned build leaves neither \p Path nor a temp file
+///           behind (the destructor unlinks it). Peak RSS is one chunk of
+///           staging buffers, never the corpus.
+///   memory  (NumFunctions): a heap arena. Chunks fill their slices in the
+///           arena directly, finish() checksums it in place, and
+///           takeBytes() hands it back.
 ///
-/// Distinct functions write disjoint arena ranges, so phases 1 and 3 need
-/// no synchronization beyond the caller's fork/join.
-class CorpusImageBuilder {
-public:
-  explicit CorpusImageBuilder(size_t NumFunctions);
-
-  /// Records function \p I's shape (counts, entry/exit, string bytes).
-  /// \p T must be the PST of \p G.
-  void setShape(size_t I, const Cfg &G, const ProgramStructureTree &T,
-                std::string_view Name = {});
-
-  /// Computes the global layout from the recorded shapes and allocates the
-  /// arena. Must run after every setShape and before any fill.
-  void layout();
-
-  /// Copies function \p I's arrays into its arena slices. \p V must be a
-  /// view of \p G and \p T its PST; \p Name must match setShape's.
-  void fill(size_t I, const Cfg &G, const CfgView &V,
-            const ProgramStructureTree &T, std::string_view Name = {});
-
-  /// Computes section checksums, writes header and section table, and
-  /// returns the complete image bytes. The builder is spent afterwards.
-  std::vector<uint8_t> finish();
-
-  const image::ImageLayout &imageLayout() const { return Layout; }
-
-private:
-  uint8_t *sectionData(image::SectionKind K);
-
-  std::vector<image::FunctionShape> Shapes;
-  image::ImageLayout Layout;
-  std::vector<uint8_t> Arena;
-  bool LaidOut = false;
-};
-
-namespace image {
-/// Opaque platform file handle (POSIX fd, or a locked stdio stream where
-/// positional I/O is unavailable). Defined in the .cpp.
-struct ImageFile;
-} // namespace image
-
-/// Out-of-core twin of \c CorpusImageBuilder: builds a corpus image
-/// directly into a pre-sized file instead of a heap arena, so peak RSS is
-/// proportional to one chunk of functions, never to the corpus.
+/// The phases:
 ///
 ///   pass 1:  addShape() per function, strictly in index order. Each
 ///            shape's FuncRecord falls out of the running prefix sums
-///            (\c image::LayoutCursor) and is written straight into the
-///            file's FuncTable section — whose offset is known before any
-///            layout, because FuncTable is the first section and header +
-///            section table have fixed size. beginFill() then fixes the
-///            section table arithmetically from the final totals and
-///            pre-sizes the file (unwritten holes read back as zero,
-///            which is exactly the in-memory arena's zeroed padding).
-///   pass 2:  re-stream the corpus in chunks. beginChunk() reads the
-///            chunk's FuncRecords back from the file and sizes zeroed
-///            staging buffers — within any section, a run of consecutive
-///            functions occupies one contiguous byte range. fill() copies
-///            one function into the staging slices (distinct functions of
-///            the same chunk may fill concurrently; their slices are
-///            disjoint). endChunk() issues one positional write per
-///            section. Distinct chunks with distinct scratch may also be
-///            in flight concurrently.
-///   finish(): re-reads the file through a bounded window to compute the
-///            section checksums, then writes header + section table.
+///            (\c image::LayoutCursor). beginFill() then fixes the section
+///            table arithmetically from the final totals, sizes the
+///            destination (zero-filled: unwritten padding reads as zero)
+///            and writes the offset table into its FuncTable section.
+///   pass 2:  beginChunk() opens a run of consecutive functions — within
+///            any section such a run occupies one contiguous byte range.
+///            fill() copies one function into the chunk's slices (distinct
+///            functions of the same chunk may fill concurrently; their
+///            slices are disjoint). The file destination stages a chunk in
+///            zeroed buffers and endChunk() issues one positional write per
+///            section. Distinct chunks with distinct scratch may also be in
+///            flight concurrently.
+///   finish(): computes the section checksums, writes header + section
+///            table, and publishes the image.
 ///
-/// The output is byte-identical to \c CorpusImageBuilder over the same
-/// functions in the same order, at every chunk size and thread count —
-/// the layout arithmetic and the per-function slice copies are shared
-/// code, and the chunk staging only changes *where* bytes are assembled.
+/// The bytes are the same at every chunk size, thread count and for both
+/// destinations: the layout arithmetic and the per-function slice copies
+/// are one code path, and staging only changes where bytes are assembled.
 class StreamImageWriter {
 public:
-  /// Staging state for one in-flight chunk: the chunk's FuncRecords (plus
-  /// one end sentinel) and one zeroed buffer per section covering the
-  /// chunk's contiguous element range. Reused across chunks; use one
-  /// instance per concurrent chunk.
+  /// Per-chunk state: the chunk's records (plus one lookahead), the slice
+  /// base of every section, and — for the file destination — one zeroed
+  /// staging buffer per section covering the chunk's element range.
+  /// Reused across chunks; use one instance per concurrent chunk.
   struct ChunkScratch {
     uint64_t Begin = 0;
     uint64_t Count = 0;
-    /// Count + 1 records: the chunk's own plus a sentinel whose bases are
-    /// the chunk's end elements (the next function's record, or the
-    /// corpus totals for the tail chunk).
+    /// Record of function Begin; Rec[K] is function Begin + K's, and
+    /// Rec[Count] exists whenever Begin + Count < NumFunctions.
+    const image::FuncRecord *Rec = nullptr;
+    /// Section K's byte holding global element Bias[K].
+    uint8_t *Sec[image::NumSections] = {};
+    uint64_t Bias[image::NumSections] = {};
+    /// File destination: records read back from the file, and staging.
     std::vector<image::FuncRecord> Recs;
     std::vector<uint8_t> Buf[image::NumSections];
   };
 
-  /// Creates/truncates \p Path. On I/O failure the writer is !valid() and
-  /// every operation fails with the constructor's diagnostic.
+  /// File destination: creates the temp file beside \p Path. On I/O
+  /// failure the writer is !valid() and every operation fails with the
+  /// constructor's diagnostic.
   StreamImageWriter(std::string Path, uint64_t NumFunctions);
+  /// Memory destination: never fails.
+  explicit StreamImageWriter(uint64_t NumFunctions);
+  /// Closes and unlinks an unfinished temp file.
   ~StreamImageWriter();
   StreamImageWriter(const StreamImageWriter &) = delete;
   StreamImageWriter &operator=(const StreamImageWriter &) = delete;
 
-  bool valid() const { return File != nullptr; }
+  bool valid() const { return InMemory || Fd >= 0; }
 
   /// Pass 1, serial, in index order: folds function \p I = (number of
-  /// prior addShape calls)'s shape into the layout and streams its
-  /// FuncRecord to the file.
+  /// prior addShape calls)'s shape into the layout.
   bool addShape(const image::FunctionShape &S, std::string *Error = nullptr);
   bool addShape(const Cfg &G, const ProgramStructureTree &T,
                 std::string_view Name = {}, std::string *Error = nullptr);
 
   /// Serial barrier between the passes: requires exactly NumFunctions
-  /// addShape calls, finalizes the section layout, pre-sizes the file.
+  /// addShape calls, finalizes the section layout, sizes the destination
+  /// and writes the offset table.
   bool beginFill(std::string *Error = nullptr);
 
-  /// Loads chunk [Begin, Begin+Count)'s records and sizes its staging
-  /// buffers. Thread-safe against other chunks' begin/fill/end.
+  /// Opens chunk [Begin, Begin+Count). Thread-safe against other chunks'
+  /// begin/fill/end.
   bool beginChunk(ChunkScratch &CS, uint64_t Begin, uint64_t Count,
                   std::string *Error = nullptr) const;
 
-  /// Copies function \p I (must lie in \p CS's range) into the staging
-  /// buffers. \p V must be a view of \p G, \p T its PST, and \p Name the
+  /// Copies function \p I (must lie in \p CS's range) into the chunk's
+  /// slices. \p V must be a view of \p G, \p T its PST, and \p Name the
   /// name addShape saw — shape drift between the passes asserts. Distinct
   /// functions may fill the same chunk concurrently.
   void fill(ChunkScratch &CS, uint64_t I, const Cfg &G, const CfgView &V,
             const ProgramStructureTree &T, std::string_view Name = {}) const;
 
-  /// Writes the chunk's staged section slices to the file.
+  /// Writes the chunk's staged slices to the file (memory: nothing to do).
   bool endChunk(ChunkScratch &CS, std::string *Error = nullptr) const;
 
-  /// Streams the file back through a bounded window to compute section
-  /// checksums, writes header + section table, closes the file. The
-  /// writer is spent afterwards.
+  /// Computes section checksums and writes header + section table. The
+  /// file destination then closes the temp file and renames it over the
+  /// path. The writer is spent afterwards.
   bool finish(std::string *Error = nullptr);
 
+  /// Memory destination, after finish(): the complete image bytes.
+  std::vector<uint8_t> takeBytes();
+
   uint64_t numFunctions() const { return NumFuncs; }
-  /// Total file size; valid after beginFill().
+  /// Total image size; valid after beginFill().
   uint64_t fileBytes() const { return Layout.FileBytes; }
+  /// The destination path (empty for the memory destination).
   const std::string &path() const { return Path; }
 
 private:
+  bool writeAt(uint64_t Off, const void *Data, uint64_t Bytes,
+               std::string *Error) const;
   bool flushRecords(std::string *Error);
 
   std::string Path;
+  /// File destination: the temp file being built, its descriptor (-1 when
+  /// closed or never opened) and why it could not be created.
+  std::string TmpPath;
+  int Fd = -1;
+  std::string OpenError;
+  /// Memory destination: the arena, sized at beginFill(), and its base.
+  bool InMemory = false;
+  std::vector<uint8_t> Arena;
+  uint8_t *Mem = nullptr;
+
   uint64_t NumFuncs = 0;
-  image::ImageFile *File = nullptr;
   image::LayoutCursor Cursor;
-  /// Funcs stays empty — records live in the file, not in memory.
   image::ImageLayout Layout;
   uint64_t Added = 0;
   bool Filling = false;
-  /// Pass-1 write-behind buffer for FuncRecords (bounded).
+  /// Pass-1 records not yet in the destination: bounded write-behind for
+  /// a file, every record for memory (the arena does not exist yet).
   std::vector<image::FuncRecord> RecBuf;
   uint64_t RecsFlushed = 0;
 };
@@ -386,7 +358,9 @@ private:
 /// every section checksum — the integrity story of \c CorpusImage::verify
 /// without paying its resident-set cost (mapping + checksumming a 2.5 GB
 /// image would fault every page into RSS; this never holds more than the
-/// window). Structural validation still happens at map time.
+/// window). Header and section table go through the same check as
+/// \c CorpusImage::map, so both reject a damaged table with the same
+/// diagnostic; per-function bounds are checked at map time.
 bool verifyImageFile(const std::string &Path, std::string *Error = nullptr);
 
 /// A mapped (or memory-backed) corpus image. Move-only; unmaps on
@@ -478,17 +452,19 @@ private:
   const image::FuncRecord *Funcs = nullptr;
 };
 
-/// Serial convenience: runs the full pipeline (CfgView + PST) per function
-/// and returns the finished image bytes. \p Names, when non-empty, must
-/// parallel \p Fns. The parallel twin is \c BatchAnalyzer::buildImage.
+/// Serial convenience: runs the full pipeline (CfgView + PST, built once
+/// per function) and returns the finished image bytes from the writer's
+/// memory destination. \p Names, when non-empty, must parallel \p Fns.
 std::vector<uint8_t>
 buildCorpusImage(std::span<const Cfg *const> Fns,
                  std::span<const std::string> Names = {});
 
-/// Writes \p Bytes to \p Path atomically enough for tooling (truncate +
-/// write + close). Returns false with a diagnostic on I/O failure.
-bool writeImageFile(const std::string &Path, std::span<const uint8_t> Bytes,
-                    std::string *Error = nullptr);
+/// As above into the writer's file destination at \p Path (published by
+/// rename). Returns false with a diagnostic on I/O failure.
+bool buildCorpusImage(const std::string &Path,
+                      std::span<const Cfg *const> Fns,
+                      std::span<const std::string> Names = {},
+                      std::string *Error = nullptr);
 
 } // namespace pst
 

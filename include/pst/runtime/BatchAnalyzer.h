@@ -109,25 +109,16 @@ public:
   /// built from.
   std::vector<FunctionAnalysis> analyzeCorpus(const CorpusImage &Img);
 
-  /// Builds a frozen corpus image of \p Fns in parallel: the per-function
-  /// pipeline (CfgView + PST) fans out across the pool twice — once to
-  /// record shapes, once to copy into the laid-out arena — around the one
-  /// serial offset-table fixup pass in between. \p Names, when non-empty,
-  /// must parallel \p Fns. Byte-identical output regardless of thread
-  /// count (workers write disjoint arena slices at layout-fixed offsets);
-  /// the serial twin is \c buildCorpusImage (pst/image).
-  std::vector<uint8_t> buildImage(std::span<const Cfg> Fns,
-                                  std::span<const std::string> Names = {});
-
-  /// Out-of-core twin of \c buildImage: builds the image of a corpus that
-  /// never exists in memory. \p Produce is invoked over consecutive
-  /// [Begin, Begin+ChunkFunctions) ranges twice — once streaming shapes
-  /// into the \c StreamImageWriter's layout pass, once re-producing each
-  /// chunk for the parallel fill into the pre-sized file at \p Path. Peak
-  /// RSS is proportional to \p ChunkFunctions, never to \p NumFunctions,
-  /// and the file is byte-identical to \c buildImage over the same
-  /// functions at every chunk size and thread count. Returns false with a
-  /// diagnostic on I/O failure.
+  /// Builds the image of a corpus that never exists in memory, in
+  /// parallel, through the \c StreamImageWriter file destination.
+  /// \p Produce is invoked over consecutive [Begin, Begin+ChunkFunctions)
+  /// ranges twice — once streaming shapes into the writer's layout pass,
+  /// once re-producing each chunk for the parallel fill. Peak RSS is
+  /// proportional to \p ChunkFunctions, never to \p NumFunctions, and the
+  /// file is byte-identical to \c buildCorpusImage over the same functions
+  /// at every chunk size and thread count. \p Path is replaced by rename
+  /// only once the image is complete. Returns false with a diagnostic on
+  /// I/O failure.
   bool buildImageStream(uint64_t NumFunctions, const ChunkProducer &Produce,
                         size_t ChunkFunctions, const std::string &Path,
                         std::string *Error = nullptr);

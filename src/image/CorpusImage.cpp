@@ -10,22 +10,16 @@
 #include "pst/obs/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <mutex>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PST_IMAGE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define PST_IMAGE_HAVE_MMAP 0
-#endif
 
 using namespace pst;
 using namespace pst::image;
@@ -158,11 +152,11 @@ uint64_t recBase(const FuncRecord &F, SectionKind K) {
 
 /// Copies one function's arrays into per-section storage. \p Sec[K] points
 /// at the byte of section K holding global element index \p Bias[K]: the
-/// in-memory arena passes its section bases with zero bias, the chunk
-/// writer its staging buffers with the chunk's first elements. Both
-/// builders funnel through this one copy routine, so their bytes cannot
-/// diverge. Destination storage must be pre-zeroed (string NULs and
-/// padding are never written explicitly).
+/// memory destination passes its arena's section bases with zero bias,
+/// the file destination its staging buffers with the chunk's first
+/// elements. Both destinations funnel through this one copy routine, so
+/// their bytes cannot diverge. Destination storage must be pre-zeroed
+/// (string NULs and padding are never written explicitly).
 void fillFunctionSlices(uint8_t *const Sec[NumSections],
                         const uint64_t Bias[NumSections], const FuncRecord &F,
                         const Cfg &G, const CfgView &V,
@@ -212,7 +206,8 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
   // `At` stays an absolute StrTab offset — the *stored* label offsets are
   // absolute regardless of where the bytes are being staged.
   uint64_t At = F.NameOff;
-  std::memcpy(Str + (At - StrBias), Name.data(), Name.size());
+  if (!Name.empty()) // A default string_view has a null data().
+    std::memcpy(Str + (At - StrBias), Name.data(), Name.size());
   At += Name.size() + 1; // Storage is zeroed, so the NUL is already there.
   for (NodeId Nd = 0; Nd < N; ++Nd) {
     const std::string &L = G.node(Nd).Label;
@@ -222,6 +217,13 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
   }
   assert(At == F.NameOff + StrBytesExpected && "string bytes drifted");
 }
+
+/// Header + section table: fixed size, and FuncTable starts right after
+/// it — which is what lets pass 1 place FuncRecords before the rest of
+/// the layout exists.
+constexpr uint64_t TableEnd =
+    sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc);
+static_assert(TableEnd % SectionAlign == 0, "FuncTable follows the table");
 
 } // namespace
 
@@ -285,8 +287,7 @@ void pst::image::finalizeSectionLayout(uint64_t NumFunctions,
   SB[uint32_t(SectionKind::NodeLabelOff)] = Cur.Nodes * 8;
   SB[uint32_t(SectionKind::StrTab)] = Cur.Str;
 
-  uint64_t Off =
-      alignUp(sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc));
+  uint64_t Off = TableEnd;
   for (uint32_t K = 0; K < NumSections; ++K) {
     L.SectionOffset[K] = Off;
     Off = alignUp(Off + L.SectionBytes[K]);
@@ -294,97 +295,13 @@ void pst::image::finalizeSectionLayout(uint64_t NumFunctions,
   L.FileBytes = Off;
 }
 
-ImageLayout
-pst::image::computeCorpusLayout(std::span<const FunctionShape> Shapes) {
-  ImageLayout L;
-  L.Funcs.resize(Shapes.size());
-  // The offset-table fixup pass: running element totals become per-function
-  // bases. All accumulators are 64-bit; per-function counts are 32-bit.
-  LayoutCursor Cur;
-  for (size_t I = 0; I < Shapes.size(); ++I)
-    L.Funcs[I] = Cur.append(Shapes[I]);
-  finalizeSectionLayout(Shapes.size(), Cur, L);
-  return L;
-}
-
-//===----------------------------------------------------------------------===//
-// CorpusImageBuilder
-//===----------------------------------------------------------------------===//
-
-CorpusImageBuilder::CorpusImageBuilder(size_t NumFunctions)
-    : Shapes(NumFunctions) {}
-
-void CorpusImageBuilder::setShape(size_t I, const Cfg &G,
-                                  const ProgramStructureTree &T,
-                                  std::string_view Name) {
-  assert(I < Shapes.size() && !LaidOut && "setShape after layout");
-  Shapes[I] = functionShape(G, T, Name);
-}
-
-void CorpusImageBuilder::layout() {
-  assert(!LaidOut && "layout runs once");
-  Layout = computeCorpusLayout(Shapes);
-  Arena.assign(Layout.FileBytes, 0); // Zeroed padding keeps output canonical.
-  // The offset table is pure layout output; write it now so fill() only
-  // touches per-function slices.
-  std::memcpy(sectionData(SectionKind::FuncTable), Layout.Funcs.data(),
-              Layout.Funcs.size() * sizeof(FuncRecord));
-  LaidOut = true;
-}
-
-uint8_t *CorpusImageBuilder::sectionData(SectionKind K) {
-  return Arena.data() + Layout.SectionOffset[uint32_t(K)];
-}
-
-void CorpusImageBuilder::fill(size_t I, const Cfg &G, const CfgView &V,
-                              const ProgramStructureTree &T,
-                              std::string_view Name) {
-  assert(LaidOut && "fill before layout");
-  uint8_t *Sec[NumSections];
-  for (uint32_t K = 0; K < NumSections; ++K)
-    Sec[K] = sectionData(SectionKind(K));
-  static constexpr uint64_t ZeroBias[NumSections] = {};
-  fillFunctionSlices(Sec, ZeroBias, Layout.Funcs[I], G, V, T, Name,
-                     Shapes[I].StrBytes);
-}
-
-std::vector<uint8_t> CorpusImageBuilder::finish() {
-  assert(LaidOut && "finish before layout");
-  SectionDesc *Sections =
-      reinterpret_cast<SectionDesc *>(Arena.data() + sizeof(ImageHeader));
-  for (uint32_t K = 0; K < NumSections; ++K) {
-    SectionDesc &D = Sections[K];
-    D.Kind = K;
-    D.Offset = Layout.SectionOffset[K];
-    D.Bytes = Layout.SectionBytes[K];
-    D.Checksum = fnv1a(Arena.data() + D.Offset, D.Bytes);
-  }
-
-  ImageHeader H;
-  std::memcpy(H.MagicBytes, Magic, sizeof(Magic));
-  H.Version = FormatVersion;
-  H.Endian = EndianTag;
-  H.FileBytes = Layout.FileBytes;
-  H.NumFunctions = Layout.Funcs.size();
-  H.SectionCount = NumSections;
-  H.FuncRecordBytes = sizeof(FuncRecord);
-  std::memcpy(Arena.data(), &H, sizeof(H));
-
-  PST_COUNTER("image.build.images", 1);
-  PST_VALUE("image.build.bytes", double(Layout.FileBytes));
-  PST_VALUE("image.build.functions", double(Layout.Funcs.size()));
-  return std::move(Arena);
-}
-
 //===----------------------------------------------------------------------===//
 // CorpusImage
 //===----------------------------------------------------------------------===//
 
 void CorpusImage::reset() {
-#if PST_IMAGE_HAVE_MMAP
   if (MapAddr)
     ::munmap(MapAddr, MapLen);
-#endif
   MapAddr = nullptr;
   MapLen = 0;
   OwnedBytes.clear();
@@ -429,55 +346,54 @@ bool fail(std::string *Error, std::string Msg) {
   return false;
 }
 
-} // namespace
-
-/// Structural validation over the mapped bytes: everything that can be
-/// checked without reading the array payloads. Clears the image on failure.
-bool CorpusImage::attach(std::string *Error) {
-  if (Bytes < sizeof(ImageHeader))
-    return fail(Error, "corpus image truncated: " + std::to_string(Bytes) +
+/// The one header and section-table check, shared by CorpusImage::map
+/// and verifyImageFile. \p Prefix holds the first min(\p Actual, TableEnd)
+/// bytes of an image that is \p Actual bytes long.
+bool checkHeaderAndSections(const uint8_t *Prefix, uint64_t Actual,
+                            std::string *Error) {
+  if (Actual < sizeof(ImageHeader))
+    return fail(Error, "corpus image truncated: " + std::to_string(Actual) +
                            " bytes is smaller than the " +
                            std::to_string(sizeof(ImageHeader)) +
                            "-byte header");
-  Hdr = reinterpret_cast<const ImageHeader *>(Base);
-  if (std::memcmp(Hdr->MagicBytes, Magic, sizeof(Magic)) != 0)
+  ImageHeader H;
+  std::memcpy(&H, Prefix, sizeof(H));
+  if (std::memcmp(H.MagicBytes, Magic, sizeof(Magic)) != 0)
     return fail(Error, "not a corpus image: bad magic (expected \"PSTIMG01\")");
-  if (Hdr->Endian != EndianTag) {
+  if (H.Endian != EndianTag) {
     char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "0x%08x", Hdr->Endian);
+    std::snprintf(Buf, sizeof(Buf), "0x%08x", H.Endian);
     return fail(Error,
                 std::string("corpus image endianness mismatch: tag reads ") +
                     Buf + "; the image was written on a different-endian "
                           "host and cannot be mapped here");
   }
-  if (Hdr->Version != FormatVersion)
+  if (H.Version != FormatVersion)
     return fail(Error, "unsupported corpus image format version " +
-                           std::to_string(Hdr->Version) +
+                           std::to_string(H.Version) +
                            " (this reader understands version " +
                            std::to_string(FormatVersion) + ")");
-  if (Hdr->FuncRecordBytes != sizeof(FuncRecord))
+  if (H.FuncRecordBytes != sizeof(FuncRecord))
     return fail(Error, "corpus image function records are " +
-                           std::to_string(Hdr->FuncRecordBytes) +
+                           std::to_string(H.FuncRecordBytes) +
                            " bytes; this reader expects " +
                            std::to_string(sizeof(FuncRecord)));
-  if (Hdr->FileBytes != Bytes)
+  if (H.FileBytes != Actual)
     return fail(Error, "corpus image truncated: file is " +
-                           std::to_string(Bytes) +
+                           std::to_string(Actual) +
                            " bytes but the header records " +
-                           std::to_string(Hdr->FileBytes));
-  if (Hdr->SectionCount != NumSections)
-    return fail(Error, "corpus image has " +
-                           std::to_string(Hdr->SectionCount) +
+                           std::to_string(H.FileBytes));
+  if (H.SectionCount != NumSections)
+    return fail(Error, "corpus image has " + std::to_string(H.SectionCount) +
                            " sections; format version 1 defines " +
                            std::to_string(NumSections));
-  uint64_t TableEnd =
-      sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc);
-  if (TableEnd > Bytes)
+  if (TableEnd > Actual)
     return fail(Error, "corpus image truncated inside the section table");
-  Sections = reinterpret_cast<const SectionDesc *>(Base + sizeof(ImageHeader));
 
   for (uint32_t K = 0; K < NumSections; ++K) {
-    const SectionDesc &D = Sections[K];
+    SectionDesc D;
+    std::memcpy(&D, Prefix + sizeof(ImageHeader) + K * sizeof(SectionDesc),
+                sizeof(D));
     std::string Name = std::string(sectionName(SectionKind(K))) +
                        " (section " + std::to_string(K) + ")";
     if (D.Kind != K)
@@ -486,7 +402,7 @@ bool CorpusImage::attach(std::string *Error) {
                              std::to_string(D.Kind));
     if (D.Offset % SectionAlign != 0)
       return fail(Error, "corpus image section " + Name + " is misaligned");
-    if (D.Offset < TableEnd || D.Offset > Bytes || D.Bytes > Bytes - D.Offset)
+    if (D.Offset < TableEnd || D.Offset > Actual || D.Bytes > Actual - D.Offset)
       return fail(Error, "corpus image truncated: section " + Name +
                              " extends past the end of the file");
     if (D.Bytes % elemSize(SectionKind(K)) != 0)
@@ -494,6 +410,18 @@ bool CorpusImage::attach(std::string *Error) {
                              " has a size that is not a multiple of its "
                              "element size");
   }
+  return true;
+}
+
+} // namespace
+
+/// Structural validation over the mapped bytes: everything that can be
+/// checked without reading the array payloads. Clears the image on failure.
+bool CorpusImage::attach(std::string *Error) {
+  if (!checkHeaderAndSections(Base, Bytes, Error))
+    return false;
+  Hdr = reinterpret_cast<const ImageHeader *>(Base);
+  Sections = reinterpret_cast<const SectionDesc *>(Base + sizeof(ImageHeader));
 
   auto Elems = [&](SectionKind K) {
     return Sections[uint32_t(K)].Bytes / elemSize(K);
@@ -539,7 +467,6 @@ bool CorpusImage::attach(std::string *Error) {
   // (they fault back in on demand); the walk's resident footprint stays
   // one block regardless of corpus size.
   const uint64_t BlockFns = uint64_t(1) << 16;
-#if PST_IMAGE_HAVE_MMAP
   auto DropValidatedRecords = [&](uint64_t BeginFn, uint64_t EndFn) {
     if (!MapAddr)
       return;
@@ -552,7 +479,6 @@ bool CorpusImage::attach(std::string *Error) {
     if (Hi > Lo)
       ::madvise(reinterpret_cast<void *>(Lo), Hi - Lo, MADV_DONTNEED);
   };
-#endif
   for (uint64_t Block = 0; Block < Hdr->NumFunctions; Block += BlockFns) {
     const uint64_t BlockEnd = std::min(Hdr->NumFunctions, Block + BlockFns);
     for (uint64_t I = Block; I < BlockEnd; ++I) {
@@ -585,9 +511,7 @@ bool CorpusImage::attach(std::string *Error) {
       return fail(Error, "corpus image function " + std::to_string(I) +
                              " has an out-of-range entry or exit node");
     }
-#if PST_IMAGE_HAVE_MMAP
     DropValidatedRecords(Block, BlockEnd);
-#endif
   }
 
   PST_COUNTER("image.map.functions", Hdr->NumFunctions);
@@ -598,7 +522,6 @@ bool CorpusImage::attach(std::string *Error) {
 CorpusImage CorpusImage::map(const std::string &Path, std::string *Error) {
   PST_SPAN("image.map");
   CorpusImage Img;
-#if PST_IMAGE_HAVE_MMAP
   int Fd = ::open(Path.c_str(), O_RDONLY);
   if (Fd < 0) {
     fail(Error, "cannot open corpus image '" + Path +
@@ -625,20 +548,6 @@ CorpusImage CorpusImage::map(const std::string &Path, std::string *Error) {
   Img.MapLen = Len;
   Img.Base = static_cast<const uint8_t *>(Addr);
   Img.Bytes = Len;
-#else
-  // Portability fallback: read the file into owned memory. Same validation
-  // and accessor surface, no zero-copy win.
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    fail(Error, "cannot open corpus image '" + Path + "'");
-    return Img;
-  }
-  std::vector<uint8_t> Buf((std::istreambuf_iterator<char>(In)),
-                           std::istreambuf_iterator<char>());
-  Img.OwnedBytes = std::move(Buf);
-  Img.Base = Img.OwnedBytes.data();
-  Img.Bytes = Img.OwnedBytes.size();
-#endif
   if (!Img.attach(Error))
     Img.reset();
   return Img;
@@ -677,12 +586,10 @@ bool CorpusImage::verify(std::string *Error) const {
 }
 
 void CorpusImage::release() const {
-#if PST_IMAGE_HAVE_MMAP
   // Read-only MAP_PRIVATE with no dirty pages: DONTNEED just drops the
   // resident pages; later accesses refault from the page cache.
   if (MapAddr)
     ::madvise(MapAddr, MapLen, MADV_DONTNEED);
-#endif
 }
 
 std::string_view CorpusImage::functionName(uint64_t I) const {
@@ -757,102 +664,18 @@ Cfg CorpusImage::materializeCfg(uint64_t I) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Free helpers
+// StreamImageWriter: the one writer, to a file or to memory
 //===----------------------------------------------------------------------===//
 
-std::vector<uint8_t> pst::buildCorpusImage(std::span<const Cfg *const> Fns,
-                                           std::span<const std::string> Names) {
-  PST_SPAN("image.build");
-  assert((Names.empty() || Names.size() == Fns.size()) &&
-         "names must parallel functions");
-  CorpusImageBuilder B(Fns.size());
-  CfgViewScratch VS;
-  PstBuildScratch PS;
-  std::vector<ProgramStructureTree> Trees(Fns.size());
-  for (size_t I = 0; I < Fns.size(); ++I) {
-    CfgView V = CfgView::build(*Fns[I], VS);
-    Trees[I] = ProgramStructureTree::build(V, PS);
-    B.setShape(I, *Fns[I], Trees[I], Names.empty() ? "" : Names[I]);
-  }
-  B.layout();
-  for (size_t I = 0; I < Fns.size(); ++I) {
-    CfgView V = CfgView::build(*Fns[I], VS);
-    B.fill(I, *Fns[I], V, Trees[I], Names.empty() ? "" : Names[I]);
-  }
-  return B.finish();
-}
+namespace {
 
-bool pst::writeImageFile(const std::string &Path,
-                         std::span<const uint8_t> Bytes, std::string *Error) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out)
-    return fail(Error, "cannot open '" + Path + "' for writing");
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            std::streamsize(Bytes.size()));
-  Out.close();
-  if (!Out)
-    return fail(Error, "write to '" + Path + "' failed");
-  return true;
-}
+/// Pass-1 write-behind granularity of the file destination: 4096 records
+/// = 320 KiB.
+constexpr size_t RecBufCap = 4096;
+/// Bounded buffer for file checksum reads (finish, verifyImageFile).
+constexpr uint64_t IoWindow = 8ull << 20;
 
-//===----------------------------------------------------------------------===//
-// StreamImageWriter: the out-of-core builder
-//===----------------------------------------------------------------------===//
-
-namespace pst {
-namespace image {
-
-/// Thin positional-I/O file wrapper. On POSIX it is a plain fd — pread and
-/// pwrite at distinct offsets are thread-safe, which is what lets chunks
-/// stage and land concurrently, and writes go through the kernel page
-/// cache, so dirty image bytes never count toward the process's resident
-/// set. The portability fallback serializes seek+read/write on a stdio
-/// stream behind a mutex.
-struct ImageFile {
-#if PST_IMAGE_HAVE_MMAP
-  int Fd = -1;
-#else
-  std::FILE *Fp = nullptr;
-  std::mutex M;
-#endif
-
-  static ImageFile *openWrite(const std::string &Path);
-  static ImageFile *openRead(const std::string &Path);
-  void close();
-  bool pwriteAll(const void *Data, uint64_t Bytes, uint64_t Off);
-  bool preadAll(void *Data, uint64_t Bytes, uint64_t Off);
-  /// Pre-sizes the file to exactly \p Bytes; unwritten holes read as zero.
-  bool presize(uint64_t Bytes);
-  uint64_t size();
-};
-
-#if PST_IMAGE_HAVE_MMAP
-
-ImageFile *ImageFile::openWrite(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0)
-    return nullptr;
-  auto *F = new ImageFile;
-  F->Fd = Fd;
-  return F;
-}
-
-ImageFile *ImageFile::openRead(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return nullptr;
-  auto *F = new ImageFile;
-  F->Fd = Fd;
-  return F;
-}
-
-void ImageFile::close() {
-  if (Fd >= 0)
-    ::close(Fd);
-  Fd = -1;
-}
-
-bool ImageFile::pwriteAll(const void *Data, uint64_t Bytes, uint64_t Off) {
+bool pwriteAll(int Fd, const void *Data, uint64_t Bytes, uint64_t Off) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
   while (Bytes) {
     ssize_t N = ::pwrite(Fd, P, size_t(Bytes), off_t(Off));
@@ -868,7 +691,7 @@ bool ImageFile::pwriteAll(const void *Data, uint64_t Bytes, uint64_t Off) {
   return true;
 }
 
-bool ImageFile::preadAll(void *Data, uint64_t Bytes, uint64_t Off) {
+bool preadAll(int Fd, void *Data, uint64_t Bytes, uint64_t Off) {
   uint8_t *P = static_cast<uint8_t *>(Data);
   while (Bytes) {
     ssize_t N = ::pread(Fd, P, size_t(Bytes), off_t(Off));
@@ -886,130 +709,65 @@ bool ImageFile::preadAll(void *Data, uint64_t Bytes, uint64_t Off) {
   return true;
 }
 
-bool ImageFile::presize(uint64_t Bytes) {
-  return ::ftruncate(Fd, off_t(Bytes)) == 0;
-}
-
-uint64_t ImageFile::size() {
-  struct stat St;
-  if (::fstat(Fd, &St) != 0)
-    return 0;
-  return uint64_t(St.st_size);
-}
-
-#else // !PST_IMAGE_HAVE_MMAP
-
-ImageFile *ImageFile::openWrite(const std::string &Path) {
-  std::FILE *Fp = std::fopen(Path.c_str(), "wb+");
-  if (!Fp)
-    return nullptr;
-  auto *F = new ImageFile;
-  F->Fp = Fp;
-  return F;
-}
-
-ImageFile *ImageFile::openRead(const std::string &Path) {
-  std::FILE *Fp = std::fopen(Path.c_str(), "rb");
-  if (!Fp)
-    return nullptr;
-  auto *F = new ImageFile;
-  F->Fp = Fp;
-  return F;
-}
-
-void ImageFile::close() {
-  if (Fp)
-    std::fclose(Fp);
-  Fp = nullptr;
-}
-
-bool ImageFile::pwriteAll(const void *Data, uint64_t Bytes, uint64_t Off) {
-  std::lock_guard<std::mutex> Lock(M);
-  if (std::fseek(Fp, long(Off), SEEK_SET) != 0)
-    return false;
-  return std::fwrite(Data, 1, size_t(Bytes), Fp) == Bytes;
-}
-
-bool ImageFile::preadAll(void *Data, uint64_t Bytes, uint64_t Off) {
-  std::lock_guard<std::mutex> Lock(M);
-  std::fflush(Fp); // Positioning between write and read is required.
-  if (std::fseek(Fp, long(Off), SEEK_SET) != 0)
-    return false;
-  return std::fread(Data, 1, size_t(Bytes), Fp) == Bytes;
-}
-
-bool ImageFile::presize(uint64_t Bytes) {
-  if (Bytes == 0)
-    return true;
-  std::lock_guard<std::mutex> Lock(M);
-  // Writing the last byte extends the file; the gap reads back as zero.
-  if (std::fseek(Fp, long(Bytes - 1), SEEK_SET) != 0)
-    return false;
-  return std::fputc(0, Fp) == 0;
-}
-
-uint64_t ImageFile::size() {
-  std::lock_guard<std::mutex> Lock(M);
-  if (std::fseek(Fp, 0, SEEK_END) != 0)
-    return 0;
-  long N = std::ftell(Fp);
-  return N < 0 ? 0 : uint64_t(N);
-}
-
-#endif // PST_IMAGE_HAVE_MMAP
-
-} // namespace image
-} // namespace pst
-
-namespace {
-
-/// FuncTable is the first section, so its file offset is fixed by the
-/// header + section-table size alone — which is what lets pass 1 stream
-/// FuncRecords into the file before the rest of the layout exists.
-uint64_t funcTableOffset() {
-  return alignUp(sizeof(ImageHeader) +
-                 uint64_t(NumSections) * sizeof(SectionDesc));
-}
-
-/// Pass-1 write-behind granularity: 4096 records = 320 KiB.
-constexpr size_t RecBufCap = 4096;
-/// Bounded buffer for finish()/verifyImageFile() streaming reads.
-constexpr uint64_t IoWindow = 8ull << 20;
-
-/// Closes and frees an ImageFile on scope exit.
-struct FileCloser {
-  ImageFile *F;
-  ~FileCloser() {
-    if (F) {
-      F->close();
-      delete F;
-    }
+/// FNV-1a of file bytes [Off, Off+Bytes), read through \p Window; FNV-1a
+/// is sequential, so windows chain exactly.
+bool fileFnv1a(int Fd, uint64_t Off, uint64_t Bytes,
+               std::vector<uint8_t> &Window, uint64_t &Sum) {
+  Sum = Fnv1aBasis;
+  for (uint64_t At = 0; At < Bytes;) {
+    const uint64_t N = std::min<uint64_t>(Window.size(), Bytes - At);
+    if (!preadAll(Fd, Window.data(), N, Off + At))
+      return false;
+    Sum = fnv1aUpdate(Sum, Window.data(), N);
+    At += N;
   }
-};
+  return true;
+}
 
 } // namespace
 
 StreamImageWriter::StreamImageWriter(std::string P, uint64_t NumFunctions)
     : Path(std::move(P)), NumFuncs(NumFunctions) {
-  File = ImageFile::openWrite(Path);
+  // A unique sibling: the rename in finish() stays within one file
+  // system, and concurrent builds of the same path never share a file.
+  static std::atomic<uint64_t> NextTmp{0};
+  TmpPath = Path + ".tmp." + std::to_string(::getpid()) + "." +
+            std::to_string(NextTmp.fetch_add(1, std::memory_order_relaxed));
+  Fd = ::open(TmpPath.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
+  if (Fd < 0)
+    OpenError = "cannot create '" + TmpPath + "': " + std::strerror(errno);
   RecBuf.reserve(size_t(std::min<uint64_t>(NumFuncs, RecBufCap)));
 }
 
+StreamImageWriter::StreamImageWriter(uint64_t NumFunctions)
+    : InMemory(true), NumFuncs(NumFunctions) {
+  RecBuf.reserve(size_t(NumFuncs));
+}
+
 StreamImageWriter::~StreamImageWriter() {
-  if (File) {
-    File->close();
-    delete File;
-    File = nullptr;
+  if (Fd >= 0) {
+    ::close(Fd);
+    ::unlink(TmpPath.c_str());
   }
 }
 
-bool StreamImageWriter::flushRecords(std::string *Error) {
-  if (RecBuf.empty())
+bool StreamImageWriter::writeAt(uint64_t Off, const void *Data,
+                                uint64_t Bytes, std::string *Error) const {
+  if (InMemory) {
+    if (Bytes)
+      std::memcpy(Mem + Off, Data, Bytes);
     return true;
-  const uint64_t Off = funcTableOffset() + RecsFlushed * sizeof(FuncRecord);
-  if (!File->pwriteAll(RecBuf.data(), RecBuf.size() * sizeof(FuncRecord), Off))
-    return fail(Error, "write to '" + Path + "' failed: " +
+  }
+  if (!pwriteAll(Fd, Data, Bytes, Off))
+    return fail(Error, "write to '" + TmpPath + "' failed: " +
                            std::strerror(errno));
+  return true;
+}
+
+bool StreamImageWriter::flushRecords(std::string *Error) {
+  if (!writeAt(TableEnd + RecsFlushed * sizeof(FuncRecord), RecBuf.data(),
+               RecBuf.size() * sizeof(FuncRecord), Error))
+    return false;
   RecsFlushed += RecBuf.size();
   RecBuf.clear();
   return true;
@@ -1017,13 +775,13 @@ bool StreamImageWriter::flushRecords(std::string *Error) {
 
 bool StreamImageWriter::addShape(const image::FunctionShape &S,
                                  std::string *Error) {
-  if (!File)
-    return fail(Error, "stream image writer for '" + Path + "' is not open");
+  if (!valid())
+    return fail(Error, OpenError);
   assert(!Filling && "addShape after beginFill");
   assert(Added < NumFuncs && "more shapes than declared functions");
   RecBuf.push_back(Cursor.append(S));
   ++Added;
-  if (RecBuf.size() >= RecBufCap)
+  if (!InMemory && RecBuf.size() >= RecBufCap)
     return flushRecords(Error);
   return true;
 }
@@ -1034,28 +792,34 @@ bool StreamImageWriter::addShape(const Cfg &G, const ProgramStructureTree &T,
 }
 
 bool StreamImageWriter::beginFill(std::string *Error) {
-  if (!File)
-    return fail(Error, "stream image writer for '" + Path + "' is not open");
+  if (!valid())
+    return fail(Error, OpenError);
   assert(!Filling && "beginFill runs once");
   if (Added != NumFuncs)
     return fail(Error, "stream image shape pass saw " + std::to_string(Added) +
                            " functions but " + std::to_string(NumFuncs) +
                            " were declared");
-  PST_SPAN("image.stream.layout");
-  if (!flushRecords(Error))
-    return false;
+  // A null span name is inert: memory builds are timed by their caller.
+  PST_SPAN(InMemory ? nullptr : "image.stream.layout");
   finalizeSectionLayout(NumFuncs, Cursor, Layout);
-  assert(Layout.SectionOffset[uint32_t(SectionKind::FuncTable)] ==
-             funcTableOffset() &&
+  assert(Layout.SectionOffset[uint32_t(SectionKind::FuncTable)] == TableEnd &&
          "FuncTable moved; pass-1 records landed at the wrong offset");
-  // Pre-size the whole file: unwritten holes read back as zero, which is
-  // exactly the in-memory arena's zeroed padding.
-  if (!File->presize(Layout.FileBytes))
-    return fail(Error, "cannot pre-size '" + Path + "' to " +
+  // Size the destination zero-filled: padding and string NULs are never
+  // written explicitly. A file's unwritten holes read back as zero.
+  if (InMemory) {
+    Arena.assign(Layout.FileBytes, 0);
+    Mem = Arena.data();
+  } else if (::ftruncate(Fd, off_t(Layout.FileBytes)) != 0) {
+    return fail(Error, "cannot pre-size '" + TmpPath + "' to " +
                            std::to_string(Layout.FileBytes) +
                            " bytes: " + std::strerror(errno));
-  PST_VALUE("image.stream.bytes", double(Layout.FileBytes));
-  PST_VALUE("image.stream.functions", double(NumFuncs));
+  }
+  if (!flushRecords(Error))
+    return false;
+  if (!InMemory) {
+    PST_VALUE("image.stream.bytes", double(Layout.FileBytes));
+    PST_VALUE("image.stream.functions", double(NumFuncs));
+  }
   Filling = true;
   return true;
 }
@@ -1066,15 +830,25 @@ bool StreamImageWriter::beginChunk(ChunkScratch &CS, uint64_t Begin,
   assert(Begin + Count <= NumFuncs && "chunk out of range");
   CS.Begin = Begin;
   CS.Count = Count;
-  CS.Recs.resize(size_t(Count) + 1);
+  if (InMemory) {
+    // Fills land in the arena directly, at global element offsets.
+    CS.Rec = reinterpret_cast<const FuncRecord *>(Mem + TableEnd) + Begin;
+    for (uint32_t K = 0; K < NumSections; ++K) {
+      CS.Sec[K] = Mem + Layout.SectionOffset[K];
+      CS.Bias[K] = 0;
+    }
+    return true;
+  }
+
   // The chunk's records plus one lookahead: the sentinel's bases are the
   // chunk's end elements. The tail chunk synthesizes it from the totals.
+  CS.Recs.resize(size_t(Count) + 1);
   const uint64_t Lookahead = (Begin + Count < NumFuncs) ? Count + 1 : Count;
   if (Lookahead &&
-      !File->preadAll(CS.Recs.data(), Lookahead * sizeof(FuncRecord),
-                      funcTableOffset() + Begin * sizeof(FuncRecord)))
+      !preadAll(Fd, CS.Recs.data(), Lookahead * sizeof(FuncRecord),
+                TableEnd + Begin * sizeof(FuncRecord)))
     return fail(Error,
-                "read of '" + Path + "' function records failed");
+                "read of '" + TmpPath + "' function records failed");
   if (Lookahead == Count) {
     FuncRecord &End = CS.Recs[size_t(Count)];
     End = FuncRecord();
@@ -1088,15 +862,18 @@ bool StreamImageWriter::beginChunk(ChunkScratch &CS, uint64_t Begin,
   }
   const FuncRecord &First = CS.Recs.front();
   const FuncRecord &End = CS.Recs[size_t(Count)];
+  CS.Rec = CS.Recs.data();
   for (uint32_t K = 0; K < NumSections; ++K) {
     if (K == uint32_t(SectionKind::FuncTable)) {
       CS.Buf[K].clear(); // Records are pass-1 output, not chunk payload.
-      continue;
+    } else {
+      const uint64_t Elems =
+          recBase(End, SectionKind(K)) - recBase(First, SectionKind(K));
+      // assign() zeroes: staged NULs/padding match the zero-filled file.
+      CS.Buf[K].assign(size_t(Elems * elemSize(SectionKind(K))), 0);
     }
-    const uint64_t Elems =
-        recBase(End, SectionKind(K)) - recBase(First, SectionKind(K));
-    // assign() zeroes: staged NULs/padding match the zeroed arena.
-    CS.Buf[K].assign(size_t(Elems * elemSize(SectionKind(K))), 0);
+    CS.Sec[K] = CS.Buf[K].data();
+    CS.Bias[K] = recBase(First, SectionKind(K));
   }
   return true;
 }
@@ -1106,31 +883,25 @@ void StreamImageWriter::fill(ChunkScratch &CS, uint64_t I, const Cfg &G,
                              std::string_view Name) const {
   assert(Filling && "fill before beginFill");
   assert(I >= CS.Begin && I < CS.Begin + CS.Count && "function outside chunk");
-  const FuncRecord &F = CS.Recs[size_t(I - CS.Begin)];
-  uint8_t *Sec[NumSections];
-  uint64_t Bias[NumSections];
-  for (uint32_t K = 0; K < NumSections; ++K) {
-    Sec[K] = CS.Buf[K].data();
-    Bias[K] = recBase(CS.Recs.front(), SectionKind(K));
-  }
-  fillFunctionSlices(Sec, Bias, F, G, V, T, Name,
-                     CS.Recs[size_t(I - CS.Begin) + 1].NameOff - F.NameOff);
+  const FuncRecord *F = CS.Rec + (I - CS.Begin);
+  const uint64_t StrEnd = I + 1 < NumFuncs ? F[1].NameOff : Cursor.Str;
+  fillFunctionSlices(CS.Sec, CS.Bias, *F, G, V, T, Name,
+                     StrEnd - F->NameOff);
 }
 
 bool StreamImageWriter::endChunk(ChunkScratch &CS, std::string *Error) const {
   assert(Filling && "endChunk before beginFill");
+  if (InMemory)
+    return true;
   PST_SPAN("image.stream.fill");
   uint64_t Bytes = 0;
-  const FuncRecord &First = CS.Recs.front();
   for (uint32_t K = 0; K < NumSections; ++K) {
     if (CS.Buf[K].empty())
       continue;
     const uint64_t Off =
-        Layout.SectionOffset[K] +
-        recBase(First, SectionKind(K)) * elemSize(SectionKind(K));
-    if (!File->pwriteAll(CS.Buf[K].data(), CS.Buf[K].size(), Off))
-      return fail(Error, "write to '" + Path + "' failed: " +
-                             std::strerror(errno));
+        Layout.SectionOffset[K] + CS.Bias[K] * elemSize(SectionKind(K));
+    if (!writeAt(Off, CS.Buf[K].data(), CS.Buf[K].size(), Error))
+      return false;
     Bytes += CS.Buf[K].size();
   }
   PST_COUNTER("image.stream.chunks", 1);
@@ -1140,29 +911,24 @@ bool StreamImageWriter::endChunk(ChunkScratch &CS, std::string *Error) const {
 }
 
 bool StreamImageWriter::finish(std::string *Error) {
-  if (!File)
-    return fail(Error, "stream image writer for '" + Path + "' is not open");
+  if (!valid())
+    return fail(Error, OpenError);
   assert(Filling && "finish before beginFill");
-  PST_SPAN("image.stream.finish");
+  PST_SPAN(InMemory ? nullptr : "image.stream.finish");
 
-  // One bounded-window read back over the file computes the section
-  // checksums; FNV-1a is sequential, so windows chain exactly.
-  std::vector<SectionDesc> Sections(NumSections);
-  std::vector<uint8_t> Window(IoWindow);
+  // Section checksums: in place over the arena, or one bounded-window
+  // read back over the file.
+  SectionDesc Sections[NumSections];
+  std::vector<uint8_t> Window(InMemory ? 0 : IoWindow);
   for (uint32_t K = 0; K < NumSections; ++K) {
     SectionDesc &D = Sections[K];
     D.Kind = K;
     D.Offset = Layout.SectionOffset[K];
     D.Bytes = Layout.SectionBytes[K];
-    uint64_t Sum = Fnv1aBasis;
-    for (uint64_t At = 0; At < D.Bytes;) {
-      const uint64_t N = std::min<uint64_t>(IoWindow, D.Bytes - At);
-      if (!File->preadAll(Window.data(), N, D.Offset + At))
-        return fail(Error, "read back of '" + Path + "' failed");
-      Sum = fnv1aUpdate(Sum, Window.data(), N);
-      At += N;
-    }
-    D.Checksum = Sum;
+    if (InMemory)
+      D.Checksum = fnv1a(Mem + D.Offset, D.Bytes);
+    else if (!fileFnv1a(Fd, D.Offset, D.Bytes, Window, D.Checksum))
+      return fail(Error, "read back of '" + TmpPath + "' failed");
   }
 
   ImageHeader H;
@@ -1173,90 +939,137 @@ bool StreamImageWriter::finish(std::string *Error) {
   H.NumFunctions = NumFuncs;
   H.SectionCount = NumSections;
   H.FuncRecordBytes = sizeof(FuncRecord);
-  if (!File->pwriteAll(&H, sizeof(H), 0) ||
-      !File->pwriteAll(Sections.data(),
-                       Sections.size() * sizeof(SectionDesc),
-                       sizeof(ImageHeader)))
-    return fail(Error, "write to '" + Path + "' failed: " +
-                           std::strerror(errno));
-  File->close();
-  delete File;
-  File = nullptr;
+  if (!writeAt(0, &H, sizeof(H), Error) ||
+      !writeAt(sizeof(ImageHeader), Sections, sizeof(Sections), Error))
+    return false;
+  Filling = false;
+
+  if (InMemory) {
+    PST_COUNTER("image.build.images", 1);
+    PST_VALUE("image.build.bytes", double(Layout.FileBytes));
+    PST_VALUE("image.build.functions", double(NumFuncs));
+    return true;
+  }
+  // Publish: the complete file replaces Path in one step. A reader that
+  // mapped the old Path keeps the old inode and never sees a byte change.
+  const int CloseRes = ::close(Fd);
+  Fd = -1;
+  if (CloseRes != 0 || ::rename(TmpPath.c_str(), Path.c_str()) != 0) {
+    std::string Msg = "cannot publish '" + TmpPath + "' as '" + Path +
+                      "': " + std::strerror(errno);
+    ::unlink(TmpPath.c_str());
+    return fail(Error, std::move(Msg));
+  }
   PST_COUNTER("image.stream.images", 1);
   return true;
 }
 
+std::vector<uint8_t> StreamImageWriter::takeBytes() {
+  assert(InMemory && !Filling && Mem && "takeBytes before a memory finish");
+  Mem = nullptr;
+  return std::move(Arena);
+}
+
+namespace {
+
+/// Serial drive of \p W over \p Fns: each function's PST is built once in
+/// the shape pass and kept for the fill pass.
+bool writeCorpus(StreamImageWriter &W, std::span<const Cfg *const> Fns,
+                 std::span<const std::string> Names, std::string *Error) {
+  assert((Names.empty() || Names.size() == Fns.size()) &&
+         "names must parallel functions");
+  auto NameOf = [&](size_t I) {
+    return Names.empty() ? std::string_view() : std::string_view(Names[I]);
+  };
+  CfgViewScratch VS;
+  PstBuildScratch PS;
+  std::vector<ProgramStructureTree> Trees(Fns.size());
+  for (size_t I = 0; I < Fns.size(); ++I) {
+    CfgView V = CfgView::build(*Fns[I], VS);
+    Trees[I] = ProgramStructureTree::build(V, PS);
+    if (!W.addShape(*Fns[I], Trees[I], NameOf(I), Error))
+      return false;
+  }
+  if (!W.beginFill(Error))
+    return false;
+  // Chunks bound the file destination's staging buffers; for memory a
+  // chunk is free.
+  constexpr size_t ChunkFns = 4096;
+  StreamImageWriter::ChunkScratch CS;
+  for (size_t Begin = 0; Begin < Fns.size(); Begin += ChunkFns) {
+    const size_t End = std::min(Fns.size(), Begin + ChunkFns);
+    if (!W.beginChunk(CS, Begin, End - Begin, Error))
+      return false;
+    for (size_t I = Begin; I < End; ++I) {
+      CfgView V = CfgView::build(*Fns[I], VS);
+      W.fill(CS, I, *Fns[I], V, Trees[I], NameOf(I));
+    }
+    if (!W.endChunk(CS, Error))
+      return false;
+  }
+  return W.finish(Error);
+}
+
+} // namespace
+
+std::vector<uint8_t> pst::buildCorpusImage(std::span<const Cfg *const> Fns,
+                                           std::span<const std::string> Names) {
+  PST_SPAN("image.build");
+  StreamImageWriter W(Fns.size());
+  [[maybe_unused]] bool Ok = writeCorpus(W, Fns, Names, nullptr);
+  assert(Ok && "the memory destination does no I/O");
+  return W.takeBytes();
+}
+
+bool pst::buildCorpusImage(const std::string &Path,
+                           std::span<const Cfg *const> Fns,
+                           std::span<const std::string> Names,
+                           std::string *Error) {
+  PST_SPAN("image.build");
+  StreamImageWriter W(Path, Fns.size());
+  return writeCorpus(W, Fns, Names, Error);
+}
+
+//===----------------------------------------------------------------------===//
+// verifyImageFile
+//===----------------------------------------------------------------------===//
+
 bool pst::verifyImageFile(const std::string &Path, std::string *Error) {
   PST_SPAN("image.stream.verify");
-  ImageFile *File = ImageFile::openRead(Path);
-  if (!File)
+  const int Fd = ::open(Path.c_str(), O_RDONLY);
+  if (Fd < 0)
     return fail(Error, "cannot open corpus image '" + Path +
                            "': " + std::strerror(errno));
-  FileCloser Guard{File};
+  struct FdCloser {
+    int Fd;
+    ~FdCloser() { ::close(Fd); }
+  } Guard{Fd};
 
-  const uint64_t Actual = File->size();
-  ImageHeader H;
-  if (Actual < sizeof(H) || !File->preadAll(&H, sizeof(H), 0))
-    return fail(Error, "corpus image truncated: " + std::to_string(Actual) +
-                           " bytes is smaller than the " +
-                           std::to_string(sizeof(H)) + "-byte header");
-  if (std::memcmp(H.MagicBytes, Magic, sizeof(Magic)) != 0)
-    return fail(Error, "not a corpus image: bad magic (expected \"PSTIMG01\")");
-  if (H.Endian != EndianTag)
-    return fail(Error, "corpus image endianness mismatch: the image was "
-                       "written on a different-endian host");
-  if (H.Version != FormatVersion)
-    return fail(Error, "unsupported corpus image format version " +
-                           std::to_string(H.Version) +
-                           " (this reader understands version " +
-                           std::to_string(FormatVersion) + ")");
-  if (H.FuncRecordBytes != sizeof(FuncRecord))
-    return fail(Error, "corpus image function records are " +
-                           std::to_string(H.FuncRecordBytes) +
-                           " bytes; this reader expects " +
-                           std::to_string(sizeof(FuncRecord)));
-  if (H.FileBytes != Actual)
-    return fail(Error, "corpus image truncated: file is " +
-                           std::to_string(Actual) +
-                           " bytes but the header records " +
-                           std::to_string(H.FileBytes));
-  if (H.SectionCount != NumSections)
-    return fail(Error, "corpus image has " + std::to_string(H.SectionCount) +
-                           " sections; format version 1 defines " +
-                           std::to_string(NumSections));
-
-  const uint64_t TableEnd =
-      sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc);
-  std::vector<SectionDesc> Sections(NumSections);
-  if (TableEnd > Actual ||
-      !File->preadAll(Sections.data(), NumSections * sizeof(SectionDesc),
-                      sizeof(ImageHeader)))
-    return fail(Error, "corpus image truncated inside the section table");
+  struct stat St;
+  const uint64_t Actual = ::fstat(Fd, &St) == 0 ? uint64_t(St.st_size) : 0;
+  struct {
+    ImageHeader H;
+    SectionDesc S[NumSections];
+  } Table;
+  static_assert(sizeof(Table) == TableEnd, "header + table are unpadded");
+  const uint64_t PrefixBytes = std::min<uint64_t>(Actual, TableEnd);
+  if (!preadAll(Fd, &Table, PrefixBytes, 0))
+    return fail(Error, "read of corpus image '" + Path + "' failed");
+  if (!checkHeaderAndSections(reinterpret_cast<const uint8_t *>(&Table),
+                              Actual, Error))
+    return false;
 
   std::vector<uint8_t> Window(IoWindow);
   for (uint32_t K = 0; K < NumSections; ++K) {
-    const SectionDesc &D = Sections[K];
-    std::string Name = std::string(sectionName(SectionKind(K))) +
-                       " (section " + std::to_string(K) + ")";
-    if (D.Kind != K)
-      return fail(Error, "corpus image section table corrupt: slot " +
-                             std::to_string(K) + " holds kind " +
-                             std::to_string(D.Kind));
-    if (D.Offset < TableEnd || D.Offset > Actual ||
-        D.Bytes > Actual - D.Offset)
-      return fail(Error, "corpus image truncated: section " + Name +
-                             " extends past the end of the file");
-    uint64_t Sum = Fnv1aBasis;
-    for (uint64_t At = 0; At < D.Bytes;) {
-      const uint64_t N = std::min<uint64_t>(IoWindow, D.Bytes - At);
-      if (!File->preadAll(Window.data(), N, D.Offset + At))
-        return fail(Error, "read of corpus image '" + Path + "' failed");
-      Sum = fnv1aUpdate(Sum, Window.data(), N);
-      At += N;
-    }
+    const SectionDesc &D = Table.S[K];
+    uint64_t Sum = 0;
+    if (!fileFnv1a(Fd, D.Offset, D.Bytes, Window, Sum))
+      return fail(Error, "read of corpus image '" + Path + "' failed");
     if (Sum != D.Checksum)
-      return fail(Error, "corpus image checksum mismatch in section " + Name +
-                             ": the image is corrupted");
+      return fail(Error, std::string("corpus image checksum mismatch in "
+                                     "section ") +
+                             sectionName(SectionKind(K)) + " (section " +
+                             std::to_string(K) + "): the image is corrupted");
   }
   return true;
 }

@@ -71,42 +71,6 @@ BatchAnalyzer::analyzeCorpus(const CorpusImage &Img) {
   return Out;
 }
 
-std::vector<uint8_t>
-BatchAnalyzer::buildImage(std::span<const Cfg> Fns,
-                          std::span<const std::string> Names) {
-  PST_SPAN("image.build");
-  assert((Names.empty() || Names.size() == Fns.size()) &&
-         "names must parallel functions");
-  CorpusImageBuilder B(Fns.size());
-  // Parallel pass 1: per-function views + PSTs; shapes go to distinct
-  // slots, the trees are kept for pass 2 (rebuilding a view into warm
-  // scratch is cheap; rebuilding the PST is not).
-  std::vector<ProgramStructureTree> Trees(Fns.size());
-  Pool.run(Fns.size(), Opts.ChunkSize,
-           [&](size_t Begin, size_t End, unsigned Worker) {
-             PstScratch &S = Scratches[Worker];
-             for (size_t I = Begin; I < End; ++I) {
-               CfgView V = CfgView::build(Fns[I], S.View);
-               Trees[I] = ProgramStructureTree::build(V, S.PstBuild);
-               B.setShape(I, Fns[I], Trees[I],
-                          Names.empty() ? "" : Names[I]);
-             }
-           });
-  // The one serial step: the offset-table fixup pass.
-  B.layout();
-  // Parallel pass 2: copy into disjoint arena slices.
-  Pool.run(Fns.size(), Opts.ChunkSize,
-           [&](size_t Begin, size_t End, unsigned Worker) {
-             PstScratch &S = Scratches[Worker];
-             for (size_t I = Begin; I < End; ++I) {
-               CfgView V = CfgView::build(Fns[I], S.View);
-               B.fill(I, Fns[I], V, Trees[I],
-                      Names.empty() ? "" : Names[I]);
-             }
-           });
-  return B.finish();
-}
-
 bool BatchAnalyzer::buildImageStream(uint64_t NumFunctions,
                                      const ChunkProducer &Produce,
                                      size_t ChunkFunctions,
@@ -116,11 +80,8 @@ bool BatchAnalyzer::buildImageStream(uint64_t NumFunctions,
   if (ChunkFunctions == 0)
     ChunkFunctions = 1;
   StreamImageWriter W(Path, NumFunctions);
-  if (!W.valid()) {
-    if (Error)
-      *Error = "cannot open '" + Path + "' for writing";
-    return false;
-  }
+  if (!W.valid())
+    return W.finish(Error); // Fails with the writer's open diagnostic.
 
   // Chunk storage is reused across the whole build: the high-water memory
   // mark is one chunk of graphs + names + its staging buffers.

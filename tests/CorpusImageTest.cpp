@@ -17,6 +17,9 @@
 //  4. 64-bit layout: the pure offset-table computation is exercised past
 //     the 32-bit byte boundary without materializing any arrays.
 //
+// A damaged header or section table is rejected by CorpusImage::map and
+// verifyImageFile with the same diagnostic (one shared check).
+//
 //===----------------------------------------------------------------------===//
 
 #include "pst/image/CorpusImage.h"
@@ -41,7 +44,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <vector>
 
 using namespace pst;
@@ -109,12 +115,13 @@ TEST(CorpusImage, FileSaveAndMapPreservesEveryAccessor) {
 
   std::string Path = uniqueTempPath("corpus_image_test.img");
   std::string Error;
-  ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
+  ASSERT_TRUE(buildCorpusImage(Path, H.Graphs, H.Names, &Error)) << Error;
   CorpusImage Img = CorpusImage::map(Path, &Error);
   ASSERT_TRUE(Img.valid()) << Error;
   EXPECT_TRUE(Img.verify(&Error)) << Error;
   ASSERT_EQ(Img.numFunctions(), H.Graphs.size());
-  EXPECT_EQ(Img.fileBytes(), Bytes.size());
+  // The file and memory destinations write the same bytes.
+  ASSERT_TRUE(std::ranges::equal(Img.rawBytes(), Bytes));
 
   for (uint64_t I = 0; I < Img.numFunctions(); ++I) {
     const Cfg &G = *H.Graphs[I];
@@ -245,16 +252,80 @@ TEST(CorpusImageRejection, MapOfMissingFileFails) {
   EXPECT_NE(Error.find("cannot open"), std::string::npos) << Error;
 }
 
+/// Writes \p Bytes to \p Path (corrupted images are written this way on
+/// purpose; the image writer only ever publishes well-formed ones).
+void writeFileBytes(const std::string &Path,
+                    const std::vector<uint8_t> &Bytes) {
+  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+  OS.write(reinterpret_cast<const char *>(Bytes.data()),
+           std::streamsize(Bytes.size()));
+}
+
+TEST(CorpusImageRejection, MapAndVerifyFileShareOneHeaderCheck) {
+  const std::vector<uint8_t> Good = smallImage();
+  // Header fields: magic @0, version @8, endian tag @12, file bytes @16,
+  // section count @32, record size @36. Section descriptor K starts at
+  // 48 + 32 K: kind @0, offset @8, bytes @16. Each case sets one u32 or
+  // moves one u64 by a delta.
+  using Corruption = std::function<void(std::vector<uint8_t> &)>;
+  auto Set32 = [](size_t At, uint32_t V) -> Corruption {
+    return [=](std::vector<uint8_t> &B) { std::memcpy(B.data() + At, &V, 4); };
+  };
+  auto Add64 = [](size_t At, uint64_t Delta) -> Corruption {
+    return [=](std::vector<uint8_t> &B) {
+      uint64_t V;
+      std::memcpy(&V, B.data() + At, 8);
+      V += Delta;
+      std::memcpy(B.data() + At, &V, 8);
+    };
+  };
+  auto Desc = [](image::SectionKind K) { return size_t(48 + 32 * int(K)); };
+  struct Case {
+    const char *What;
+    Corruption Corrupt;
+    const char *Needle;
+  };
+  const std::vector<Case> Cases = {
+      {"magic", Set32(0, 0x58585858), "bad magic"},
+      {"version", Set32(8, image::FormatVersion + 7), "format version"},
+      {"endian tag", Set32(12, 0x04030201), "endianness mismatch"},
+      {"record size", Set32(36, 72), "function records are 72 bytes"},
+      {"file bytes", Add64(16, 8), "but the header records"},
+      {"section count", Set32(32, 19), "has 19 sections"},
+      {"section kind", Set32(Desc(image::SectionKind::SuccEdge), 7),
+       "slot 3 holds kind 7"},
+      {"misaligned offset", Add64(Desc(image::SectionKind::PredOff) + 8, 4),
+       "is misaligned"},
+      {"extent past EOF",
+       Add64(Desc(image::SectionKind::StrTab) + 16, Good.size()),
+       "extends past the end of the file"},
+      {"element size", Add64(Desc(image::SectionKind::SuccOff) + 16, -1ull),
+       "not a multiple of its element size"},
+  };
+  const std::string Path = uniqueTempPath("header_check.img");
+  for (const Case &C : Cases) {
+    std::vector<uint8_t> Bad = Good;
+    C.Corrupt(Bad);
+    writeFileBytes(Path, Bad);
+    std::string MapError, VerifyError;
+    EXPECT_FALSE(CorpusImage::map(Path, &MapError).valid()) << C.What;
+    EXPECT_FALSE(verifyImageFile(Path, &VerifyError)) << C.What;
+    EXPECT_NE(MapError.find(C.Needle), std::string::npos)
+        << C.What << ": " << MapError;
+    EXPECT_EQ(MapError, VerifyError) << C.What;
+  }
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Mapped analysis == in-memory pipeline
 //===----------------------------------------------------------------------===//
 
 TEST(CorpusImageByteIdentity, MappedAnalysisMatchesInMemoryOnFullCorpus) {
   CorpusHandles H(/*Seed=*/1994);
-  std::vector<uint8_t> Bytes = buildCorpusImage(H.Graphs, H.Names);
   std::string Path = uniqueTempPath("corpus_image_analysis.img");
   std::string Error;
-  ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
+  ASSERT_TRUE(buildCorpusImage(Path, H.Graphs, H.Names, &Error)) << Error;
   CorpusImage Img = CorpusImage::map(Path, &Error);
   ASSERT_TRUE(Img.valid()) << Error;
 
@@ -370,25 +441,8 @@ TEST(CorpusImageByteIdentity, RegionProfilerRunsOnMappedPst) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel build and image-based batch analysis
+// Image-based batch analysis
 //===----------------------------------------------------------------------===//
-
-TEST(CorpusImageBatch, ParallelBuildByteIdenticalAcrossThreadCounts) {
-  CorpusHandles H(/*Seed=*/1994);
-  std::vector<Cfg> Graphs;
-  Graphs.reserve(H.Corpus.size());
-  for (const CorpusFunction &C : H.Corpus)
-    Graphs.push_back(C.Fn.Graph);
-
-  std::vector<uint8_t> Serial = buildCorpusImage(H.Graphs, H.Names);
-  for (unsigned Threads : {1u, 4u}) {
-    BatchOptions O;
-    O.NumThreads = Threads;
-    BatchAnalyzer A(O);
-    ASSERT_EQ(A.buildImage(Graphs, H.Names), Serial)
-        << Threads << " threads";
-  }
-}
 
 TEST(CorpusImageBatch, ImageAnalyzeCorpusMatchesDirectPath) {
   CorpusHandles H(/*Seed=*/1994);
@@ -400,8 +454,8 @@ TEST(CorpusImageBatch, ImageAnalyzeCorpusMatchesDirectPath) {
   O.NumThreads = 2;
   BatchAnalyzer A(O);
   std::string Error;
-  CorpusImage Img = CorpusImage::fromBytes(A.buildImage(Graphs, H.Names),
-                                           &Error);
+  CorpusImage Img =
+      CorpusImage::fromBytes(buildCorpusImage(H.Graphs, H.Names), &Error);
   ASSERT_TRUE(Img.valid()) << Error;
 
   std::vector<FunctionAnalysis> Direct = A.analyzeCorpus(Graphs);
@@ -478,9 +532,13 @@ TEST(CorpusImageLayout, SectionsAndBasesPastThe32BitBoundary) {
   Big.Entry = 0;
   Big.Exit = 1;
   Big.StrBytes = 1'000'000'000;
-  std::vector<image::FunctionShape> Shapes(6, Big);
-
-  image::ImageLayout L = image::computeCorpusLayout(Shapes);
+  constexpr uint64_t NumBig = 6;
+  image::LayoutCursor Cur;
+  std::vector<image::FuncRecord> Funcs;
+  for (uint64_t I = 0; I < NumBig; ++I)
+    Funcs.push_back(Cur.append(Big));
+  image::ImageLayout L;
+  image::finalizeSectionLayout(NumBig, Cur, L);
 
   // Every section is 8-byte aligned, in file order, non-overlapping.
   uint64_t PrevEnd = 0;
@@ -501,17 +559,16 @@ TEST(CorpusImageLayout, SectionsAndBasesPastThe32BitBoundary) {
 
   // Offset-table fixup: base of function I is the sum over functions
   // before it; element bases themselves cross 2^32 at the tail.
-  ASSERT_EQ(L.Funcs.size(), Shapes.size());
-  for (size_t I = 0; I < Shapes.size(); ++I) {
-    EXPECT_EQ(L.Funcs[I].NodeBase, I * uint64_t(Big.NumNodes));
-    EXPECT_EQ(L.Funcs[I].EdgeBase, I * uint64_t(Big.NumEdges));
-    EXPECT_EQ(L.Funcs[I].CsrBase, I * (uint64_t(Big.NumNodes) + 1));
-    EXPECT_EQ(L.Funcs[I].RegionBase, I * uint64_t(Big.NumRegions));
-    EXPECT_EQ(L.Funcs[I].RegionCsrBase, I * (uint64_t(Big.NumRegions) + 1));
-    EXPECT_EQ(L.Funcs[I].ChildBase, I * (uint64_t(Big.NumRegions) - 1));
-    EXPECT_EQ(L.Funcs[I].NameOff, I * Big.StrBytes);
+  for (uint64_t I = 0; I < NumBig; ++I) {
+    EXPECT_EQ(Funcs[I].NodeBase, I * uint64_t(Big.NumNodes));
+    EXPECT_EQ(Funcs[I].EdgeBase, I * uint64_t(Big.NumEdges));
+    EXPECT_EQ(Funcs[I].CsrBase, I * (uint64_t(Big.NumNodes) + 1));
+    EXPECT_EQ(Funcs[I].RegionBase, I * uint64_t(Big.NumRegions));
+    EXPECT_EQ(Funcs[I].RegionCsrBase, I * (uint64_t(Big.NumRegions) + 1));
+    EXPECT_EQ(Funcs[I].ChildBase, I * (uint64_t(Big.NumRegions) - 1));
+    EXPECT_EQ(Funcs[I].NameOff, I * Big.StrBytes);
   }
-  EXPECT_GT(L.Funcs.back().EdgeBase, uint64_t(1) << 31);
+  EXPECT_GT(Funcs.back().EdgeBase, uint64_t(1) << 31);
 }
 
 } // namespace

@@ -9,15 +9,18 @@
 //     replayable (reset() reproduces the first pass exactly) — the two
 //     properties the two-pass out-of-core build depends on.
 //  2. Byte identity: the streamed file build reproduces the in-memory
-//     buildImage output bit for bit on the 254-procedure paper corpus and
-//     on a generated stream corpus, at chunk sizes {1, 7, 1024} and
-//     thread counts {1, hardware}.
+//     buildCorpusImage output bit for bit on the 254-procedure paper
+//     corpus and on a generated stream corpus, at chunk sizes {1, 7,
+//     1024} and thread counts {1, hardware}; a golden pins the length and
+//     FNV-1a of two images.
 //  3. Streamed mapped analysis: analyzeCorpusStream over small windows
 //     delivers results identical to the materializing analyzeCorpus, in
 //     strict function order, with release() leaving the mapping usable.
 //  4. verifyImageFile: accepts a good file and rejects payload
 //     corruption, truncation and missing files with clear diagnostics —
 //     without ever mapping the whole image.
+//  5. StreamImageWriter publishes by rename: an abandoned build leaves no
+//     file behind, and a rebuild never changes a live mapping.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +38,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -97,6 +101,39 @@ std::vector<uint8_t> readFileBytes(const std::string &Path) {
   EXPECT_TRUE(IS.good()) << Path;
   return std::vector<uint8_t>(std::istreambuf_iterator<char>(IS),
                               std::istreambuf_iterator<char>());
+}
+
+/// Writes \p Bytes to \p Path: how the rejection tests plant a damaged
+/// image (the image writer only ever publishes well-formed ones).
+void writeFileBytes(const std::string &Path,
+                    const std::vector<uint8_t> &Bytes) {
+  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+  OS.write(reinterpret_cast<const char *>(Bytes.data()),
+           std::streamsize(Bytes.size()));
+}
+
+/// Paths in \p Path's directory that start with "<Path>.tmp." — the
+/// writer's unpublished temp files.
+std::vector<std::string> tempFilesOf(const std::string &Path) {
+  namespace fs = std::filesystem;
+  const fs::path P(Path);
+  const std::string Prefix = P.filename().string() + ".tmp.";
+  std::vector<std::string> Out;
+  for (const fs::directory_entry &E : fs::directory_iterator(P.parent_path()))
+    if (E.path().filename().string().rfind(Prefix, 0) == 0)
+      Out.push_back(E.path().string());
+  return Out;
+}
+
+/// Generated stream-corpus producer for \p Opts.
+ChunkProducer streamProducer(const StreamCorpusOptions &Opts) {
+  return [Opts](uint64_t Begin, uint64_t Count, std::vector<Cfg> &Graphs,
+                std::vector<std::string> &Names) {
+    Graphs.resize(Count);
+    Names.resize(Count);
+    for (uint64_t K = 0; K < Count; ++K)
+      generateStreamFunction(Opts, Begin + K, Graphs[K], Names[K]);
+  };
 }
 
 unsigned hardwareThreads() {
@@ -208,16 +245,12 @@ TEST(StreamImageBuild, ByteIdentityOnGeneratedStreamCorpus) {
   std::vector<std::string> Names(Opts.Count);
   for (uint64_t I = 0; I < Opts.Count; ++I)
     generateStreamFunction(Opts, I, All[I], Names[I]);
-  std::vector<uint8_t> Expected = BatchAnalyzer().buildImage(All, Names);
+  std::vector<const Cfg *> Ptrs;
+  for (const Cfg &G : All)
+    Ptrs.push_back(&G);
+  std::vector<uint8_t> Expected = buildCorpusImage(Ptrs, Names);
 
-  ChunkProducer Produce = [&Opts](uint64_t Begin, uint64_t Count,
-                                  std::vector<Cfg> &Graphs,
-                                  std::vector<std::string> &OutNames) {
-    Graphs.resize(Count);
-    OutNames.resize(Count);
-    for (uint64_t K = 0; K < Count; ++K)
-      generateStreamFunction(Opts, Begin + K, Graphs[K], OutNames[K]);
-  };
+  ChunkProducer Produce = streamProducer(Opts);
   for (size_t Chunk : {size_t(1), size_t(7), size_t(1024)})
     for (unsigned Threads : {1u, hardwareThreads()})
       expectStreamBuildMatches(Opts.Count, Produce, Chunk, Threads, Expected,
@@ -238,15 +271,39 @@ TEST(StreamImageBuild, CorpusStreamIsTheCanonicalProducer) {
     Ptrs.push_back(&G);
   std::vector<uint8_t> Expected = buildCorpusImage(Ptrs, Names);
 
-  ChunkProducer Produce = [&Opts](uint64_t Begin, uint64_t Count,
-                                  std::vector<Cfg> &Graphs,
-                                  std::vector<std::string> &OutNames) {
-    Graphs.resize(Count);
-    OutNames.resize(Count);
-    for (uint64_t K = 0; K < Count; ++K)
-      generateStreamFunction(Opts, Begin + K, Graphs[K], OutNames[K]);
-  };
+  ChunkProducer Produce = streamProducer(Opts);
   expectStreamBuildMatches(Opts.Count, Produce, 16, 1, Expected, "canon");
+}
+
+//===----------------------------------------------------------------------===//
+// Image-bytes golden: the length and FNV-1a of two images, recorded once.
+// Every identity test above compares two drives of the same writer, which
+// share the layout and copy code; this compares the bytes with a fixed
+// record, so a change to that shared code cannot go unnoticed.
+//===----------------------------------------------------------------------===//
+
+TEST(ImageBytesGolden, PaperCorpusMemoryBuild) {
+  CorpusHandles H(/*Seed=*/1994);
+  std::vector<uint8_t> Bytes = buildCorpusImage(H.Graphs, H.Names);
+  EXPECT_EQ(Bytes.size(), 822720u);
+  EXPECT_EQ(image::fnv1a(Bytes.data(), Bytes.size()), 607782858261006052ull);
+}
+
+TEST(ImageBytesGolden, StreamCorpusFileBuildAtChunk7) {
+  StreamCorpusOptions Opts;
+  Opts.Count = 97;
+  ChunkProducer Produce = streamProducer(Opts);
+  BatchOptions BO;
+  BO.NumThreads = 1;
+  BatchAnalyzer A(BO);
+  std::string Path = uniqueTempPath("golden_stream.img");
+  std::string Error;
+  ASSERT_TRUE(A.buildImageStream(Opts.Count, Produce, 7, Path, &Error))
+      << Error;
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  std::remove(Path.c_str());
+  EXPECT_EQ(Bytes.size(), 267896u);
+  EXPECT_EQ(image::fnv1a(Bytes.data(), Bytes.size()), 9414636478528051335ull);
 }
 
 //===----------------------------------------------------------------------===//
@@ -256,10 +313,9 @@ TEST(StreamImageBuild, CorpusStreamIsTheCanonicalProducer) {
 TEST(StreamAnalysis, SinkSeesMaterializedResultsInOrder) {
   CorpusHandles H(/*Seed=*/1994);
   BatchAnalyzer A;
-  std::vector<uint8_t> Bytes = buildCorpusImage(H.Graphs, H.Names);
   std::string Path = uniqueTempPath("stream_analysis.img");
   std::string Error;
-  ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
+  ASSERT_TRUE(buildCorpusImage(Path, H.Graphs, H.Names, &Error)) << Error;
   CorpusImage Img = CorpusImage::map(Path, &Error);
   ASSERT_TRUE(Img.valid()) << Error;
 
@@ -325,14 +381,7 @@ TEST(StreamAnalysis, HonorsComputeControlRegionsOff) {
 void buildSmallImageFile(const std::string &Path) {
   StreamCorpusOptions Opts;
   Opts.Count = 32;
-  ChunkProducer Produce = [&Opts](uint64_t Begin, uint64_t Count,
-                                  std::vector<Cfg> &Graphs,
-                                  std::vector<std::string> &Names) {
-    Graphs.resize(Count);
-    Names.resize(Count);
-    for (uint64_t K = 0; K < Count; ++K)
-      generateStreamFunction(Opts, Begin + K, Graphs[K], Names[K]);
-  };
+  ChunkProducer Produce = streamProducer(Opts);
   BatchAnalyzer A;
   std::string Error;
   ASSERT_TRUE(A.buildImageStream(Opts.Count, Produce, 8, Path, &Error))
@@ -358,9 +407,7 @@ TEST(VerifyImageFile, RejectsPayloadCorruption) {
   ASSERT_GT(Bytes.size(), 1024u);
   // Flip one byte deep in the payload (past header + section table).
   Bytes[Bytes.size() / 2] ^= 0x5a;
-  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-  OS.write(reinterpret_cast<const char *>(Bytes.data()), Bytes.size());
-  OS.close();
+  writeFileBytes(Path, Bytes);
   std::string Error;
   EXPECT_FALSE(verifyImageFile(Path, &Error));
   EXPECT_NE(Error.find("checksum"), std::string::npos) << Error;
@@ -372,9 +419,7 @@ TEST(VerifyImageFile, RejectsTruncation) {
   buildSmallImageFile(Path);
   std::vector<uint8_t> Bytes = readFileBytes(Path);
   Bytes.resize(Bytes.size() - 64);
-  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-  OS.write(reinterpret_cast<const char *>(Bytes.data()), Bytes.size());
-  OS.close();
+  writeFileBytes(Path, Bytes);
   std::string Error;
   EXPECT_FALSE(verifyImageFile(Path, &Error));
   EXPECT_FALSE(Error.empty());
@@ -393,17 +438,65 @@ TEST(VerifyImageFile, RejectsMissingFile) {
 
 TEST(StreamImageWriter, RefusesFillBeforeAllShapes) {
   std::string Path = uniqueTempPath("writer_contract.img");
-  StreamImageWriter W(Path, /*NumFunctions=*/4);
-  ASSERT_TRUE(W.valid());
-  Cfg G;
-  std::string Name;
-  StreamCorpusOptions Opts;
-  generateStreamFunction(Opts, 0, G, Name);
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  W.addShape(G, T, Name);
+  {
+    StreamImageWriter W(Path, /*NumFunctions=*/4);
+    ASSERT_TRUE(W.valid());
+    Cfg G;
+    std::string Name;
+    StreamCorpusOptions Opts;
+    generateStreamFunction(Opts, 0, G, Name);
+    ProgramStructureTree T = ProgramStructureTree::build(G);
+    W.addShape(G, T, Name);
+    std::string Error;
+    EXPECT_FALSE(W.beginFill(&Error)); // Only 1 of 4 shapes recorded.
+    EXPECT_FALSE(Error.empty());
+    // Unfinished: the build lives in one temp file; Path is untouched.
+    EXPECT_EQ(tempFilesOf(Path).size(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(Path));
+  }
+  // The abandoned writer leaves neither the image nor its temp file.
+  EXPECT_FALSE(std::filesystem::exists(Path));
+  EXPECT_TRUE(tempFilesOf(Path).empty());
+}
+
+TEST(StreamImageWriter, RebuildDoesNotDisturbALiveMapping) {
+  // Map an image, then rebuild the same path from another seed while the
+  // mapping is live. The rebuild publishes a new file by rename, so the
+  // old mapping keeps reading the old bytes; an in-place rewrite would
+  // change them under it, or SIGBUS on pages past the new end.
+  std::string Path = uniqueTempPath("live_mapping.img");
+  StreamCorpusOptions Old;
+  Old.Count = 400;
+  BatchAnalyzer A;
   std::string Error;
-  EXPECT_FALSE(W.beginFill(&Error)); // Only 1 of 4 shapes recorded.
-  EXPECT_FALSE(Error.empty());
+  ASSERT_TRUE(
+      A.buildImageStream(Old.Count, streamProducer(Old), 64, Path, &Error))
+      << Error;
+  CorpusImage Img = CorpusImage::map(Path, &Error);
+  ASSERT_TRUE(Img.valid()) << Error;
+  const uint32_t Edges5 = Img.cfg(5).numEdges();
+  const uint8_t LastByte = Img.rawBytes().back();
+  const std::vector<uint8_t> Before(Img.rawBytes().begin(),
+                                    Img.rawBytes().end());
+
+  StreamCorpusOptions New;
+  New.Count = 200;
+  New.Seed = Old.Seed + 1;
+  ASSERT_TRUE(
+      A.buildImageStream(New.Count, streamProducer(New), 64, Path, &Error))
+      << Error;
+  EXPECT_TRUE(tempFilesOf(Path).empty());
+
+  EXPECT_EQ(Img.numFunctions(), Old.Count);
+  EXPECT_EQ(Img.cfg(5).numEdges(), Edges5);
+  EXPECT_TRUE(Img.verify(&Error)) << Error;
+  EXPECT_EQ(Img.rawBytes().back(), LastByte);
+  EXPECT_TRUE(std::ranges::equal(Img.rawBytes(), Before));
+
+  // A fresh map sees the rebuilt image.
+  CorpusImage Fresh = CorpusImage::map(Path, &Error);
+  ASSERT_TRUE(Fresh.valid()) << Error;
+  EXPECT_EQ(Fresh.numFunctions(), New.Count);
   std::remove(Path.c_str());
 }
 
