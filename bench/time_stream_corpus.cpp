@@ -6,8 +6,9 @@
 //
 //   build   — streams the generated corpus through
 //             BatchAnalyzer::buildImageStream in bounded chunks into an
-//             out-of-core image file (two generator passes, pwrite into a
-//             pre-sized file, never more than one chunk resident);
+//             out-of-core image file (one generator pass, each section
+//             spooled and assembled at the end, never more than one chunk
+//             resident);
 //   verify  — verifyImageFile's windowed checksum pass over the file;
 //   analyze — analyzeCorpusStream over the mapped image: windowed
 //             parallel analysis draining through a sink, with the mapped
@@ -20,7 +21,10 @@
 // after the 100k size (when a larger size ran; else the second-largest
 // size), else the bench exits 1. A pipeline that held the
 // corpus (or the image) in memory would blow this by an order of
-// magnitude.
+// magnitude. A second gate keeps the build single-pass: the bench's
+// producer counts the functions it generates, and if any build asked for
+// more than one generation per function (gen_calls_per_fn above 1.0) the
+// bench exits 1.
 //
 // Usage: time_stream_corpus [--threads t1,t2,...] [--sizes n1,n2,...]
 //                           [--chunk n] [--keep]
@@ -61,6 +65,8 @@ struct ThreadRun {
   double BuildSec = 0;
   double BuildFnsPerSec = 0;
   double BuildBytesPerSec = 0;
+  /// Functions the producer generated during the build, per function.
+  double GenCallsPerFn = 0;
 };
 
 struct SizeReport {
@@ -101,12 +107,15 @@ SizeReport benchSize(uint64_t Count, const std::vector<uint64_t> &Threads,
 
   StreamCorpusOptions SO;
   SO.Count = Count;
-  auto Produce = [&SO](uint64_t Begin, uint64_t N, std::vector<Cfg> &G,
-                       std::vector<std::string> &Names) {
+  uint64_t Generated = 0;
+  auto Produce = [&SO, &Generated](uint64_t Begin, uint64_t N,
+                                   std::vector<Cfg> &G,
+                                   std::vector<std::string> &Names) {
     G.resize(N);
     Names.resize(N);
     for (uint64_t I = 0; I < N; ++I)
       generateStreamFunction(SO, Begin + I, G[I], Names[I]);
+    Generated += N;
   };
 
   for (uint64_t T : Threads) {
@@ -118,6 +127,7 @@ SizeReport benchSize(uint64_t Count, const std::vector<uint64_t> &Threads,
     Run.Workers = Engine.numWorkers();
 
     std::string Error;
+    Generated = 0;
     Clock::time_point Start = Clock::now();
     if (!Engine.buildImageStream(Count, Produce, size_t(Chunk), Path,
                                  &Error)) {
@@ -125,6 +135,7 @@ SizeReport benchSize(uint64_t Count, const std::vector<uint64_t> &Threads,
       std::exit(1);
     }
     Run.BuildSec = secondsSince(Start);
+    Run.GenCallsPerFn = Count ? double(Generated) / double(Count) : 0;
 
     {
       std::ifstream In(Path, std::ios::binary | std::ios::ate);
@@ -135,10 +146,10 @@ SizeReport benchSize(uint64_t Count, const std::vector<uint64_t> &Threads,
         Run.BuildSec > 0 ? double(R.ImageBytes) / Run.BuildSec : 0;
     R.Runs.push_back(Run);
     std::printf("  %8llu fns  %2u worker(s)  build %8.2f s  "
-                "%9.0f fns/s  %7.1f MB/s\n",
+                "%9.0f fns/s  %7.1f MB/s  %.2f gen/fn\n",
                 static_cast<unsigned long long>(Count), Run.Workers,
                 Run.BuildSec, Run.BuildFnsPerSec,
-                Run.BuildBytesPerSec / 1e6);
+                Run.BuildBytesPerSec / 1e6, Run.GenCallsPerFn);
   }
 
   // Windowed checksum verification: the integrity pass that never maps
@@ -189,7 +200,7 @@ SizeReport benchSize(uint64_t Count, const std::vector<uint64_t> &Threads,
 
 void writeJson(const std::string &Path, const std::vector<SizeReport> &Sizes,
                uint64_t Chunk, bool GatePass, uint64_t RssSmall,
-               uint64_t RssLarge) {
+               uint64_t RssLarge, double GenCallsPerFn) {
   const SizeReport &Largest = Sizes.back();
   std::ofstream OS(Path);
   OS << "{\n";
@@ -197,6 +208,7 @@ void writeJson(const std::string &Path, const std::vector<SizeReport> &Sizes,
       OS, "stream_corpus", "stream-generated",
       Largest.Runs.empty() ? 0 : Largest.Runs.back().BuildFnsPerSec);
   OS << "  \"chunk_functions\": " << Chunk << ",\n";
+  OS << "  \"gen_calls_per_fn\": " << GenCallsPerFn << ",\n";
   OS << "  \"sizes\": [\n";
   for (size_t I = 0; I < Sizes.size(); ++I) {
     const SizeReport &S = Sizes[I];
@@ -210,7 +222,8 @@ void writeJson(const std::string &Path, const std::vector<SizeReport> &Sizes,
          << ", \"workers\": " << R.Workers
          << ", \"build_sec\": " << R.BuildSec
          << ", \"fns_per_sec\": " << R.BuildFnsPerSec
-         << ", \"bytes_per_sec\": " << R.BuildBytesPerSec << "}"
+         << ", \"bytes_per_sec\": " << R.BuildBytesPerSec
+         << ", \"gen_calls_per_fn\": " << R.GenCallsPerFn << "}"
          << (J + 1 < S.Runs.size() ? "," : "") << "\n";
     }
     OS << "      ],\n";
@@ -298,12 +311,27 @@ int main(int Argc, char **Argv) {
                 GatePass ? "pass" : "FAIL");
   }
 
+  // The single-pass gate: the worst build's generations per function.
+  double GenCallsPerFn = 0;
+  for (const SizeReport &S : Reports)
+    for (const ThreadRun &R : S.Runs)
+      GenCallsPerFn = std::max(GenCallsPerFn, R.GenCallsPerFn);
+  const bool SinglePass = GenCallsPerFn <= 1.0;
+  std::printf("Single-pass gate: %.2f generations per function (limit "
+              "1.00) -> %s\n",
+              GenCallsPerFn, SinglePass ? "pass" : "FAIL");
+
   writeJson("BENCH_stream.json", Reports, Chunk, GatePass, RssSmall,
-            RssLarge);
+            RssLarge, GenCallsPerFn);
   std::cout << "\nwrote BENCH_stream.json\n";
   if (!GatePass) {
     std::cerr << "FATAL: peak RSS grew more than 2x between the reference "
                  "and the largest corpus — the pipeline is not bounded\n";
+    return 1;
+  }
+  if (!SinglePass) {
+    std::cerr << "FATAL: the image build generated functions more than once "
+                 "— buildImageStream is no longer single-pass\n";
     return 1;
   }
   return 0;

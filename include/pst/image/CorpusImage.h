@@ -159,11 +159,23 @@ uint64_t fnv1a(const void *Data, uint64_t Bytes);
 
 /// Incremental FNV-1a: folds \p Bytes more bytes into running state \p H.
 /// Seed with \c Fnv1aBasis; chaining updates over consecutive windows
-/// equals one fnv1a over the concatenation, which is what lets the
-/// writer's file destination and \c verifyImageFile checksum
+/// equals one fnv1a over the concatenation, which is what lets the writer
+/// checksum each section chunk by chunk and \c verifyImageFile checksum
 /// multi-gigabyte sections through a bounded buffer.
 inline constexpr uint64_t Fnv1aBasis = 0xcbf29ce484222325ull;
 uint64_t fnv1aUpdate(uint64_t H, const void *Data, uint64_t Bytes);
+
+/// The most streams \c fnv1aUpdateLanes folds at once.
+inline constexpr unsigned Fnv1aMaxLanes = 4;
+
+/// Folds up to \c Fnv1aMaxLanes independent FNV-1a streams in lockstep:
+/// lane L folds \p Bytes[L] bytes at \p Data[L] into \p H[L], exactly as
+/// \c fnv1aUpdate would. One stream is a serial multiply chain; running
+/// several side by side overlaps their latencies, which is what makes the
+/// per-section checksums of an image cheap. Lanes may differ in length
+/// (zero included).
+void fnv1aUpdateLanes(uint64_t *H, const void *const *Data,
+                      const uint64_t *Bytes, unsigned Lanes);
 
 /// What the layout pass needs to know about one function.
 struct FunctionShape {
@@ -218,138 +230,152 @@ void finalizeSectionLayout(uint64_t NumFunctions, const LayoutCursor &Cur,
 
 } // namespace image
 
-/// The one writer of the image format. It builds an image in three phases
-/// and writes it to one of two destinations, chosen by the constructor:
+/// The one writer of the image format. It builds an image in one pass over
+/// the functions and writes it to one of two destinations, chosen by the
+/// constructor:
 ///
 ///   file    (Path, NumFunctions): a unique sibling temp file
 ///           `<Path>.tmp.<pid>.<n>`, renamed over \p Path only after
 ///           finish() has written the header and section table. A process
 ///           that has the old \p Path mapped keeps reading the old bytes,
 ///           and an abandoned build leaves neither \p Path nor a temp file
-///           behind (the destructor unlinks it). Peak RSS is one chunk of
-///           staging buffers, never the corpus.
-///   memory  (NumFunctions): a heap arena. Chunks fill their slices in the
-///           arena directly, finish() checksums it in place, and
-///           takeBytes() hands it back.
+///           behind (the destructor unlinks it). Sections 1..19 grow in one
+///           spool file each, created beside the temp file and unlinked at
+///           once, so the build transiently needs about twice the image's
+///           bytes on disk. Peak RSS is one chunk of staging buffers, never
+///           the corpus.
+///   memory  (NumFunctions): sections grow in heap vectors; finish()
+///           assembles them into one arena and takeBytes() hands it back.
 ///
-/// The phases:
+/// The calls, per chunk of consecutive functions:
 ///
-///   pass 1:  addShape() per function, strictly in index order. Each
-///            shape's FuncRecord falls out of the running prefix sums
-///            (\c image::LayoutCursor). beginFill() then fixes the section
-///            table arithmetically from the final totals, sizes the
-///            destination (zero-filled: unwritten padding reads as zero)
-///            and writes the offset table into its FuncTable section.
-///   pass 2:  beginChunk() opens a run of consecutive functions — within
-///            any section such a run occupies one contiguous byte range.
-///            fill() copies one function into the chunk's slices (distinct
-///            functions of the same chunk may fill concurrently; their
-///            slices are disjoint). The file destination stages a chunk in
-///            zeroed buffers and endChunk() issues one positional write per
-///            section. Distinct chunks with distinct scratch may also be in
-///            flight concurrently.
-///   finish(): computes the section checksums, writes header + section
-///            table, and publishes the image.
+///   addShape()    serial, strictly in index order: folds a function's
+///                 shape into the running prefix sums
+///                 (\c image::LayoutCursor); its FuncRecord falls out and
+///                 goes straight to the FuncTable section.
+///   beginChunk()  opens functions [Begin, Begin+Count), whose shapes must
+///                 all have been added. Within any section such a run
+///                 occupies one contiguous element range, staged in one
+///                 zeroed buffer per section.
+///   fill()        copies one function into the chunk's staging. Distinct
+///                 functions of the chunk may fill concurrently; their
+///                 slices are disjoint.
+///   endChunk()    serial, chunks in index order (they must tile
+///                 [0, NumFunctions)): folds the staged bytes into each
+///                 section's running FNV-1a checksum while they are still
+///                 in cache, then appends them to the section's segment.
+///                 FNV-1a is sequential, so in-order chunks chain to the
+///                 checksum of the whole section.
+///   finish()      fixes the section table from the final totals
+///                 (\c image::finalizeSectionLayout), copies each segment
+///                 to its section offset, writes header + section table,
+///                 and publishes the image.
 ///
-/// The bytes are the same at every chunk size, thread count and for both
-/// destinations: the layout arithmetic and the per-function slice copies
-/// are one code path, and staging only changes where bytes are assembled.
+/// Shapes may run ahead of the chunks: adding every shape first and then
+/// filling every chunk (beginFill() checks that all shapes are in) gives
+/// the same bytes as interleaving them chunk by chunk. The bytes are the
+/// same at every chunk size, thread count and for both destinations: the
+/// layout arithmetic, the per-function slice copies and the checksum fold
+/// are one code path, and the destination only changes where segments are
+/// kept. After a call fails, the writer can only be destroyed.
 class StreamImageWriter {
 public:
-  /// Per-chunk state: the chunk's records (plus one lookahead), the slice
-  /// base of every section, and — for the file destination — one zeroed
-  /// staging buffer per section covering the chunk's element range.
-  /// Reused across chunks; use one instance per concurrent chunk.
+  /// Per-chunk state: the chunk's records plus a sentinel holding the
+  /// chunk's end elements, and one zeroed staging buffer per section
+  /// covering the chunk's element range. Reused across chunks.
   struct ChunkScratch {
     uint64_t Begin = 0;
     uint64_t Count = 0;
-    /// Record of function Begin; Rec[K] is function Begin + K's, and
-    /// Rec[Count] exists whenever Begin + Count < NumFunctions.
-    const image::FuncRecord *Rec = nullptr;
+    /// Recs[K] is function Begin + K's record; Recs[Count] is the sentinel.
+    std::vector<image::FuncRecord> Recs;
     /// Section K's byte holding global element Bias[K].
     uint8_t *Sec[image::NumSections] = {};
     uint64_t Bias[image::NumSections] = {};
-    /// File destination: records read back from the file, and staging.
-    std::vector<image::FuncRecord> Recs;
     std::vector<uint8_t> Buf[image::NumSections];
   };
 
-  /// File destination: creates the temp file beside \p Path. On I/O
-  /// failure the writer is !valid() and every operation fails with the
-  /// constructor's diagnostic.
+  /// File destination: creates the temp file and the section spools beside
+  /// \p Path. On I/O failure the writer is !valid() and every operation
+  /// fails with the constructor's diagnostic.
   StreamImageWriter(std::string Path, uint64_t NumFunctions);
   /// Memory destination: never fails.
   explicit StreamImageWriter(uint64_t NumFunctions);
-  /// Closes and unlinks an unfinished temp file.
+  /// Closes the spools and closes and unlinks an unfinished temp file.
   ~StreamImageWriter();
   StreamImageWriter(const StreamImageWriter &) = delete;
   StreamImageWriter &operator=(const StreamImageWriter &) = delete;
 
   bool valid() const { return InMemory || Fd >= 0; }
 
-  /// Pass 1, serial, in index order: folds function \p I = (number of
-  /// prior addShape calls)'s shape into the layout.
+  /// Serial, in index order: folds function \p I = (number of prior
+  /// addShape calls)'s shape into the layout.
   bool addShape(const image::FunctionShape &S, std::string *Error = nullptr);
   bool addShape(const Cfg &G, const ProgramStructureTree &T,
                 std::string_view Name = {}, std::string *Error = nullptr);
 
-  /// Serial barrier between the passes: requires exactly NumFunctions
-  /// addShape calls, finalizes the section layout, sizes the destination
-  /// and writes the offset table.
-  bool beginFill(std::string *Error = nullptr);
+  /// Optional check before filling: fails unless all NumFunctions shapes
+  /// have been added.
+  bool beginFill(std::string *Error = nullptr) const;
 
-  /// Opens chunk [Begin, Begin+Count). Thread-safe against other chunks'
-  /// begin/fill/end.
+  /// Opens chunk [Begin, Begin+Count); fails unless the shapes of all its
+  /// functions have been added. Serial with addShape and endChunk.
   bool beginChunk(ChunkScratch &CS, uint64_t Begin, uint64_t Count,
-                  std::string *Error = nullptr) const;
+                  std::string *Error = nullptr);
 
   /// Copies function \p I (must lie in \p CS's range) into the chunk's
   /// slices. \p V must be a view of \p G, \p T its PST, and \p Name the
-  /// name addShape saw — shape drift between the passes asserts. Distinct
+  /// name addShape saw — drift from the recorded shape asserts. Distinct
   /// functions may fill the same chunk concurrently.
   void fill(ChunkScratch &CS, uint64_t I, const Cfg &G, const CfgView &V,
             const ProgramStructureTree &T, std::string_view Name = {}) const;
 
-  /// Writes the chunk's staged slices to the file (memory: nothing to do).
-  bool endChunk(ChunkScratch &CS, std::string *Error = nullptr) const;
+  /// Checksums the chunk and appends it to the section segments. Fails
+  /// unless the chunk starts where the previous one ended.
+  bool endChunk(ChunkScratch &CS, std::string *Error = nullptr);
 
-  /// Computes section checksums and writes header + section table. The
-  /// file destination then closes the temp file and renames it over the
-  /// path. The writer is spent afterwards.
+  /// Requires every shape added and every chunk ended. Lays out the
+  /// sections, assembles the segments, and writes header + section table.
+  /// The file destination then closes the temp file and renames it over
+  /// the path. The writer is spent afterwards.
   bool finish(std::string *Error = nullptr);
 
   /// Memory destination, after finish(): the complete image bytes.
   std::vector<uint8_t> takeBytes();
 
   uint64_t numFunctions() const { return NumFuncs; }
-  /// Total image size; valid after beginFill().
-  uint64_t fileBytes() const { return Layout.FileBytes; }
-  /// The destination path (empty for the memory destination).
-  const std::string &path() const { return Path; }
 
 private:
   bool writeAt(uint64_t Off, const void *Data, uint64_t Bytes,
-               std::string *Error) const;
+               std::string *Error);
   bool flushRecords(std::string *Error);
+  bool readRecords(uint64_t First, uint64_t Count, image::FuncRecord *Out,
+                   std::string *Error) const;
 
   std::string Path;
   /// File destination: the temp file being built, its descriptor (-1 when
-  /// closed or never opened) and why it could not be created.
+  /// closed or never opened), one unlinked spool descriptor per section
+  /// (FuncTable's stays -1), and why they could not be created.
   std::string TmpPath;
   int Fd = -1;
+  int Spool[image::NumSections];
   std::string OpenError;
-  /// Memory destination: the arena, sized at beginFill(), and its base.
+  /// Memory destination: one segment per section, then the arena that
+  /// finish() assembles them into.
   bool InMemory = false;
+  std::vector<uint8_t> Seg[image::NumSections];
   std::vector<uint8_t> Arena;
-  uint8_t *Mem = nullptr;
 
   uint64_t NumFuncs = 0;
   image::LayoutCursor Cursor;
-  image::ImageLayout Layout;
   uint64_t Added = 0;
-  bool Filling = false;
-  /// Pass-1 records not yet in the destination: bounded write-behind for
-  /// a file, every record for memory (the arena does not exist yet).
+  /// Functions covered by ended chunks: the next chunk's Begin.
+  uint64_t Ended = 0;
+  bool Finished = false;
+  /// Bytes appended to each section's segment, and its running checksum.
+  uint64_t SegBytes[image::NumSections] = {};
+  uint64_t Sum[image::NumSections];
+  /// Records not yet in the temp file: bounded write-behind for a file,
+  /// every record for memory (the arena does not exist before finish()).
   std::vector<image::FuncRecord> RecBuf;
   uint64_t RecsFlushed = 0;
 };

@@ -68,10 +68,10 @@ FunctionAnalysis analyzeFunction(const Cfg &G, PstScratch &Scratch,
 
 /// Produces chunk [Begin, Begin+Count) of a corpus into the caller's
 /// (reused) vectors: Graphs[K] / Names[K] hold function Begin + K. The
-/// streaming build calls the producer twice over the same ranges (shape
-/// pass, then fill pass), so it must be replayable: the same range must
-/// yield the same functions both times. \c CorpusStream::next is the
-/// canonical implementation.
+/// streaming build calls the producer once per chunk, on the calling
+/// thread, over consecutive ranges in index order, so a producer may read
+/// its source sequentially. \c CorpusStream::next is the canonical
+/// implementation.
 using ChunkProducer =
     std::function<void(uint64_t Begin, uint64_t Count, std::vector<Cfg> &Graphs,
                        std::vector<std::string> &Names)>;
@@ -110,15 +110,17 @@ public:
   std::vector<FunctionAnalysis> analyzeCorpus(const CorpusImage &Img);
 
   /// Builds the image of a corpus that never exists in memory, in
-  /// parallel, through the \c StreamImageWriter file destination.
-  /// \p Produce is invoked over consecutive [Begin, Begin+ChunkFunctions)
-  /// ranges twice — once streaming shapes into the writer's layout pass,
-  /// once re-producing each chunk for the parallel fill. Peak RSS is
+  /// parallel, through the \c StreamImageWriter file destination, in one
+  /// pass. \p Produce is invoked once per consecutive
+  /// [Begin, Begin+ChunkFunctions) range; the pool builds each function's
+  /// view and PST once, the chunk's shapes go to the writer in order, and
+  /// the pool then fills the chunk from the kept trees. Peak RSS is
   /// proportional to \p ChunkFunctions, never to \p NumFunctions, and the
   /// file is byte-identical to \c buildCorpusImage over the same functions
   /// at every chunk size and thread count. \p Path is replaced by rename
-  /// only once the image is complete. Returns false with a diagnostic on
-  /// I/O failure.
+  /// only once the image is complete; until then the build needs about
+  /// twice the image's bytes free beside it. Returns false with a
+  /// diagnostic on I/O failure.
   bool buildImageStream(uint64_t NumFunctions, const ChunkProducer &Produce,
                         size_t ChunkFunctions, const std::string &Path,
                         std::string *Error = nullptr);

@@ -14,10 +14,11 @@
 /// deriveProcedureSeed), never from sequential draws off a shared
 /// generator. That makes the stream *re-entrant and chunk-oblivious*:
 /// generating function I alone, in a chunk of 7, or in a chunk of 4096
-/// produces the same graph byte for byte, and a second pass over the
-/// stream (the out-of-core image builder needs two) replays the first
-/// exactly. Peak memory is one chunk of functions, regardless of \c
-/// Count — the property the million-function pipeline is built on.
+/// produces the same graph byte for byte, so an image built at any chunk
+/// size holds the same functions, and a second pass over the stream (a
+/// test's reference build, say) replays the first exactly. Peak memory is
+/// one chunk of functions, regardless of \c Count — the property the
+/// million-function pipeline is built on.
 ///
 /// The size/shape mix follows the benches' generated corpus: mostly small
 /// random backbone graphs, salted with diamond ladders, loop nests,

@@ -92,6 +92,100 @@ uint64_t pst::image::fnv1a(const void *Data, uint64_t Bytes) {
 
 namespace {
 
+/// Folds bytes [From, To) of each of \p L lanes in lockstep. With L a
+/// constant the lane loop unrolls and the L multiply chains overlap.
+template <unsigned L>
+void foldLockstep(uint64_t *H, const uint8_t *const *P, uint64_t From,
+                  uint64_t To) {
+  uint64_t S[L];
+  for (unsigned K = 0; K < L; ++K)
+    S[K] = H[K];
+  for (uint64_t I = From; I < To; ++I)
+    for (unsigned K = 0; K < L; ++K) {
+      S[K] ^= P[K][I];
+      S[K] *= 0x100000001b3ull;
+    }
+  for (unsigned K = 0; K < L; ++K)
+    H[K] = S[K];
+}
+
+} // namespace
+
+void pst::image::fnv1aUpdateLanes(uint64_t *H, const void *const *Data,
+                                  const uint64_t *Bytes, unsigned Lanes) {
+  assert(Lanes <= Fnv1aMaxLanes && "too many lanes");
+  // Order the lanes by length; every lane runs to the shortest one's end,
+  // then the shortest drops out and the rest run on to the next end.
+  unsigned Order[Fnv1aMaxLanes];
+  for (unsigned K = 0; K < Lanes; ++K)
+    Order[K] = K;
+  std::sort(Order, Order + Lanes,
+            [&](unsigned A, unsigned B) { return Bytes[A] < Bytes[B]; });
+  uint64_t S[Fnv1aMaxLanes];
+  const uint8_t *P[Fnv1aMaxLanes];
+  for (unsigned K = 0; K < Lanes; ++K) {
+    S[K] = H[Order[K]];
+    P[K] = static_cast<const uint8_t *>(Data[Order[K]]);
+  }
+  uint64_t Done = 0;
+  for (unsigned First = 0; First < Lanes; ++First) {
+    const uint64_t End = Bytes[Order[First]];
+    switch (Lanes - First) {
+    case 4:
+      foldLockstep<4>(S + First, P + First, Done, End);
+      break;
+    case 3:
+      foldLockstep<3>(S + First, P + First, Done, End);
+      break;
+    case 2:
+      foldLockstep<2>(S + First, P + First, Done, End);
+      break;
+    default:
+      foldLockstep<1>(S + First, P + First, Done, End);
+      break;
+    }
+    Done = End;
+  }
+  for (unsigned K = 0; K < Lanes; ++K)
+    H[Order[K]] = S[K];
+}
+
+namespace {
+
+/// Sections [First, NumSections) into \p Order, sorted by \p Bytes, so
+/// that each consecutive group of Fnv1aMaxLanes sections folds in lockstep
+/// nearly to its end. Returns the number of sections ordered.
+uint32_t sectionsBySize(const uint64_t *Bytes, uint32_t First,
+                        uint32_t *Order) {
+  const uint32_t N = NumSections - First;
+  for (uint32_t K = 0; K < N; ++K)
+    Order[K] = First + K;
+  std::sort(Order, Order + N,
+            [&](uint32_t A, uint32_t B) { return Bytes[A] < Bytes[B]; });
+  return N;
+}
+
+/// Folds sections [First, NumSections), section K being \p Bytes[K] bytes
+/// at \p Data[K], into the running checksums \p Sums, four at a time.
+void foldSections(uint64_t *Sums, const uint8_t *const *Data,
+                  const uint64_t *Bytes, uint32_t First) {
+  uint32_t Order[NumSections];
+  const uint32_t N = sectionsBySize(Bytes, First, Order);
+  for (uint32_t G = 0; G < N; G += Fnv1aMaxLanes) {
+    const unsigned Lanes = std::min<uint32_t>(Fnv1aMaxLanes, N - G);
+    uint64_t H[Fnv1aMaxLanes], Len[Fnv1aMaxLanes];
+    const void *P[Fnv1aMaxLanes];
+    for (unsigned L = 0; L < Lanes; ++L) {
+      H[L] = Sums[Order[G + L]];
+      P[L] = Data[Order[G + L]];
+      Len[L] = Bytes[Order[G + L]];
+    }
+    fnv1aUpdateLanes(H, P, Len, Lanes);
+    for (unsigned L = 0; L < Lanes; ++L)
+      Sums[Order[G + L]] = H[L];
+  }
+}
+
 uint64_t alignUp(uint64_t V) {
   return (V + (SectionAlign - 1)) & ~(SectionAlign - 1);
 }
@@ -128,7 +222,7 @@ uint64_t strBytes(const Cfg &G, std::string_view Name) {
 uint64_t recBase(const FuncRecord &F, SectionKind K) {
   switch (K) {
   case SectionKind::FuncTable:
-    return 0; // Not a per-function fill target (pass-1 output).
+    return 0; // Not a per-function fill target (addShape writes it).
   case SectionKind::SuccOff:
   case SectionKind::PredOff:
     return F.CsrBase;
@@ -151,12 +245,11 @@ uint64_t recBase(const FuncRecord &F, SectionKind K) {
 }
 
 /// Copies one function's arrays into per-section storage. \p Sec[K] points
-/// at the byte of section K holding global element index \p Bias[K]: the
-/// memory destination passes its arena's section bases with zero bias,
-/// the file destination its staging buffers with the chunk's first
-/// elements. Both destinations funnel through this one copy routine, so
-/// their bytes cannot diverge. Destination storage must be pre-zeroed
-/// (string NULs and padding are never written explicitly).
+/// at the byte of section K holding global element index \p Bias[K]: a
+/// chunk's staging buffer, biased by the chunk's first element. Both
+/// destinations funnel through this one copy routine, so their bytes
+/// cannot diverge. Destination storage must be pre-zeroed (string NULs are
+/// never written explicitly).
 void fillFunctionSlices(uint8_t *const Sec[NumSections],
                         const uint64_t Bias[NumSections], const FuncRecord &F,
                         const Cfg &G, const CfgView &V,
@@ -219,7 +312,7 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
 }
 
 /// Header + section table: fixed size, and FuncTable starts right after
-/// it — which is what lets pass 1 place FuncRecords before the rest of
+/// it — which is what lets addShape place FuncRecords before the rest of
 /// the layout exists.
 constexpr uint64_t TableEnd =
     sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc);
@@ -576,8 +669,16 @@ bool CorpusImage::verifySection(uint32_t I) const {
 bool CorpusImage::verify(std::string *Error) const {
   PST_SPAN("image.verify");
   assert(valid() && "verify on an invalid image");
-  for (uint32_t K = 0; K < Hdr->SectionCount; ++K)
-    if (!verifySection(K))
+  uint64_t Sums[NumSections], Bytes[NumSections];
+  const uint8_t *Data[NumSections];
+  for (uint32_t K = 0; K < NumSections; ++K) {
+    Sums[K] = Fnv1aBasis;
+    Data[K] = Base + Sections[K].Offset;
+    Bytes[K] = Sections[K].Bytes;
+  }
+  foldSections(Sums, Data, Bytes, 0);
+  for (uint32_t K = 0; K < NumSections; ++K)
+    if (Sums[K] != Sections[K].Checksum)
       return fail(Error,
                   std::string("corpus image checksum mismatch in section ") +
                       sectionName(SectionKind(K)) + " (section " +
@@ -669,10 +770,10 @@ Cfg CorpusImage::materializeCfg(uint64_t I) const {
 
 namespace {
 
-/// Pass-1 write-behind granularity of the file destination: 4096 records
-/// = 320 KiB.
+/// Write-behind granularity of the file destination's records: 4096
+/// records = 320 KiB.
 constexpr size_t RecBufCap = 4096;
-/// Bounded buffer for file checksum reads (finish, verifyImageFile).
+/// Bounded read buffer of verifyImageFile, split across its lanes.
 constexpr uint64_t IoWindow = 8ull << 20;
 
 bool pwriteAll(int Fd, const void *Data, uint64_t Bytes, uint64_t Off) {
@@ -709,42 +810,99 @@ bool preadAll(int Fd, void *Data, uint64_t Bytes, uint64_t Off) {
   return true;
 }
 
-/// FNV-1a of file bytes [Off, Off+Bytes), read through \p Window; FNV-1a
-/// is sequential, so windows chain exactly.
-bool fileFnv1a(int Fd, uint64_t Off, uint64_t Bytes,
-               std::vector<uint8_t> &Window, uint64_t &Sum) {
-  Sum = Fnv1aBasis;
-  for (uint64_t At = 0; At < Bytes;) {
-    const uint64_t N = std::min<uint64_t>(Window.size(), Bytes - At);
-    if (!preadAll(Fd, Window.data(), N, Off + At))
+/// Copies the first \p Bytes bytes of \p In to offset \p Off of \p Out.
+/// copy_file_range moves them inside the kernel; where the file system
+/// refuses it, a bounded read/write loop finishes the copy.
+bool copyRange(int In, int Out, uint64_t Off, uint64_t Bytes) {
+  off_t InOff = 0, OutOff = off_t(Off);
+  while (Bytes) {
+    ssize_t N = ::copy_file_range(In, &InOff, Out, &OutOff,
+                                  size_t(std::min<uint64_t>(Bytes, 1u << 30)),
+                                  0);
+    if (N > 0) {
+      Bytes -= uint64_t(N);
+      continue;
+    }
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0 && (errno == ENOSYS || errno == EXDEV || errno == EINVAL ||
+                  errno == EOPNOTSUPP))
+      break;
+    return false; // An I/O error, or the spool ended early.
+  }
+  std::vector<uint8_t> Buf(size_t(std::min<uint64_t>(Bytes, 1u << 20)));
+  while (Bytes) {
+    const uint64_t N = std::min<uint64_t>(Buf.size(), Bytes);
+    if (!preadAll(In, Buf.data(), N, uint64_t(InOff)) ||
+        !pwriteAll(Out, Buf.data(), N, uint64_t(OutOff)))
       return false;
-    Sum = fnv1aUpdate(Sum, Window.data(), N);
-    At += N;
+    InOff += off_t(N);
+    OutOff += off_t(N);
+    Bytes -= N;
   }
   return true;
+}
+
+/// A record whose bases are the cursor's totals: the end elements of
+/// every function added so far.
+FuncRecord endRecord(const LayoutCursor &C) {
+  FuncRecord F;
+  F.NodeBase = C.Nodes;
+  F.EdgeBase = C.Edges;
+  F.CsrBase = C.Csr;
+  F.RegionBase = C.Regions;
+  F.RegionCsrBase = C.RegionCsr;
+  F.ChildBase = C.Children;
+  F.NameOff = C.Str;
+  return F;
 }
 
 } // namespace
 
 StreamImageWriter::StreamImageWriter(std::string P, uint64_t NumFunctions)
     : Path(std::move(P)), NumFuncs(NumFunctions) {
+  std::fill(std::begin(Spool), std::end(Spool), -1);
+  std::fill(std::begin(Sum), std::end(Sum), Fnv1aBasis);
   // A unique sibling: the rename in finish() stays within one file
   // system, and concurrent builds of the same path never share a file.
   static std::atomic<uint64_t> NextTmp{0};
   TmpPath = Path + ".tmp." + std::to_string(::getpid()) + "." +
             std::to_string(NextTmp.fetch_add(1, std::memory_order_relaxed));
   Fd = ::open(TmpPath.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
-  if (Fd < 0)
+  if (Fd < 0) {
     OpenError = "cannot create '" + TmpPath + "': " + std::strerror(errno);
+    return;
+  }
+  // The spools live beside the temp file, so finish() copies within one
+  // file system, and are unlinked at once, so no end of the writer can
+  // leave one behind.
+  for (uint32_t K = 1; K < NumSections; ++K) {
+    const std::string SpoolPath = TmpPath + ".s" + std::to_string(K);
+    Spool[K] = ::open(SpoolPath.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
+    if (Spool[K] < 0) {
+      OpenError =
+          "cannot create '" + SpoolPath + "': " + std::strerror(errno);
+      ::close(Fd);
+      ::unlink(TmpPath.c_str());
+      Fd = -1;
+      return;
+    }
+    ::unlink(SpoolPath.c_str());
+  }
   RecBuf.reserve(size_t(std::min<uint64_t>(NumFuncs, RecBufCap)));
 }
 
 StreamImageWriter::StreamImageWriter(uint64_t NumFunctions)
     : InMemory(true), NumFuncs(NumFunctions) {
+  std::fill(std::begin(Spool), std::end(Spool), -1);
+  std::fill(std::begin(Sum), std::end(Sum), Fnv1aBasis);
   RecBuf.reserve(size_t(NumFuncs));
 }
 
 StreamImageWriter::~StreamImageWriter() {
+  for (int S : Spool)
+    if (S >= 0)
+      ::close(S);
   if (Fd >= 0) {
     ::close(Fd);
     ::unlink(TmpPath.c_str());
@@ -752,10 +910,10 @@ StreamImageWriter::~StreamImageWriter() {
 }
 
 bool StreamImageWriter::writeAt(uint64_t Off, const void *Data,
-                                uint64_t Bytes, std::string *Error) const {
+                                uint64_t Bytes, std::string *Error) {
   if (InMemory) {
     if (Bytes)
-      std::memcpy(Mem + Off, Data, Bytes);
+      std::memcpy(Arena.data() + Off, Data, Bytes);
     return true;
   }
   if (!pwriteAll(Fd, Data, Bytes, Off))
@@ -773,13 +931,32 @@ bool StreamImageWriter::flushRecords(std::string *Error) {
   return true;
 }
 
+bool StreamImageWriter::readRecords(uint64_t First, uint64_t Count,
+                                    FuncRecord *Out,
+                                    std::string *Error) const {
+  // Records [0, RecsFlushed) are in the temp file, the rest in RecBuf.
+  const uint64_t FromFile =
+      First < RecsFlushed ? std::min(Count, RecsFlushed - First) : 0;
+  if (FromFile && !preadAll(Fd, Out, FromFile * sizeof(FuncRecord),
+                            TableEnd + First * sizeof(FuncRecord)))
+    return fail(Error, "read of '" + TmpPath + "' function records failed");
+  if (Count > FromFile)
+    std::memcpy(Out + FromFile,
+                RecBuf.data() + (First + FromFile - RecsFlushed),
+                (Count - FromFile) * sizeof(FuncRecord));
+  return true;
+}
+
 bool StreamImageWriter::addShape(const image::FunctionShape &S,
                                  std::string *Error) {
   if (!valid())
     return fail(Error, OpenError);
-  assert(!Filling && "addShape after beginFill");
+  assert(!Finished && "addShape after finish");
   assert(Added < NumFuncs && "more shapes than declared functions");
-  RecBuf.push_back(Cursor.append(S));
+  const FuncRecord F = Cursor.append(S);
+  Sum[uint32_t(SectionKind::FuncTable)] =
+      fnv1aUpdate(Sum[uint32_t(SectionKind::FuncTable)], &F, sizeof(F));
+  RecBuf.push_back(F);
   ++Added;
   if (!InMemory && RecBuf.size() >= RecBufCap)
     return flushRecords(Error);
@@ -791,87 +968,43 @@ bool StreamImageWriter::addShape(const Cfg &G, const ProgramStructureTree &T,
   return addShape(functionShape(G, T, Name), Error);
 }
 
-bool StreamImageWriter::beginFill(std::string *Error) {
+bool StreamImageWriter::beginFill(std::string *Error) const {
   if (!valid())
     return fail(Error, OpenError);
-  assert(!Filling && "beginFill runs once");
   if (Added != NumFuncs)
-    return fail(Error, "stream image shape pass saw " + std::to_string(Added) +
-                           " functions but " + std::to_string(NumFuncs) +
-                           " were declared");
-  // A null span name is inert: memory builds are timed by their caller.
-  PST_SPAN(InMemory ? nullptr : "image.stream.layout");
-  finalizeSectionLayout(NumFuncs, Cursor, Layout);
-  assert(Layout.SectionOffset[uint32_t(SectionKind::FuncTable)] == TableEnd &&
-         "FuncTable moved; pass-1 records landed at the wrong offset");
-  // Size the destination zero-filled: padding and string NULs are never
-  // written explicitly. A file's unwritten holes read back as zero.
-  if (InMemory) {
-    Arena.assign(Layout.FileBytes, 0);
-    Mem = Arena.data();
-  } else if (::ftruncate(Fd, off_t(Layout.FileBytes)) != 0) {
-    return fail(Error, "cannot pre-size '" + TmpPath + "' to " +
-                           std::to_string(Layout.FileBytes) +
-                           " bytes: " + std::strerror(errno));
-  }
-  if (!flushRecords(Error))
-    return false;
-  if (!InMemory) {
-    PST_VALUE("image.stream.bytes", double(Layout.FileBytes));
-    PST_VALUE("image.stream.functions", double(NumFuncs));
-  }
-  Filling = true;
+    return fail(Error, "stream image writer has " + std::to_string(Added) +
+                           " shapes but " + std::to_string(NumFuncs) +
+                           " functions were declared");
   return true;
 }
 
 bool StreamImageWriter::beginChunk(ChunkScratch &CS, uint64_t Begin,
-                                   uint64_t Count, std::string *Error) const {
-  assert(Filling && "beginChunk before beginFill");
+                                   uint64_t Count, std::string *Error) {
+  if (!valid())
+    return fail(Error, OpenError);
   assert(Begin + Count <= NumFuncs && "chunk out of range");
+  if (Begin + Count > Added)
+    return fail(Error, "stream image chunk [" + std::to_string(Begin) + ", " +
+                           std::to_string(Begin + Count) +
+                           ") opened before its shapes were added (" +
+                           std::to_string(Added) + " added)");
   CS.Begin = Begin;
   CS.Count = Count;
-  if (InMemory) {
-    // Fills land in the arena directly, at global element offsets.
-    CS.Rec = reinterpret_cast<const FuncRecord *>(Mem + TableEnd) + Begin;
-    for (uint32_t K = 0; K < NumSections; ++K) {
-      CS.Sec[K] = Mem + Layout.SectionOffset[K];
-      CS.Bias[K] = 0;
-    }
-    return true;
-  }
-
-  // The chunk's records plus one lookahead: the sentinel's bases are the
-  // chunk's end elements. The tail chunk synthesizes it from the totals.
+  // The sentinel's bases are the chunk's end elements: the next function's
+  // record, or the running totals while that function has no shape yet.
   CS.Recs.resize(size_t(Count) + 1);
-  const uint64_t Lookahead = (Begin + Count < NumFuncs) ? Count + 1 : Count;
-  if (Lookahead &&
-      !preadAll(Fd, CS.Recs.data(), Lookahead * sizeof(FuncRecord),
-                TableEnd + Begin * sizeof(FuncRecord)))
-    return fail(Error,
-                "read of '" + TmpPath + "' function records failed");
-  if (Lookahead == Count) {
-    FuncRecord &End = CS.Recs[size_t(Count)];
-    End = FuncRecord();
-    End.NodeBase = Cursor.Nodes;
-    End.EdgeBase = Cursor.Edges;
-    End.CsrBase = Cursor.Csr;
-    End.RegionBase = Cursor.Regions;
-    End.RegionCsrBase = Cursor.RegionCsr;
-    End.ChildBase = Cursor.Children;
-    End.NameOff = Cursor.Str;
-  }
+  const bool HaveNext = Begin + Count < Added;
+  if (!readRecords(Begin, Count + HaveNext, CS.Recs.data(), Error))
+    return false;
+  if (!HaveNext)
+    CS.Recs[size_t(Count)] = endRecord(Cursor);
   const FuncRecord &First = CS.Recs.front();
   const FuncRecord &End = CS.Recs[size_t(Count)];
-  CS.Rec = CS.Recs.data();
-  for (uint32_t K = 0; K < NumSections; ++K) {
-    if (K == uint32_t(SectionKind::FuncTable)) {
-      CS.Buf[K].clear(); // Records are pass-1 output, not chunk payload.
-    } else {
-      const uint64_t Elems =
-          recBase(End, SectionKind(K)) - recBase(First, SectionKind(K));
-      // assign() zeroes: staged NULs/padding match the zero-filled file.
-      CS.Buf[K].assign(size_t(Elems * elemSize(SectionKind(K))), 0);
-    }
+  for (uint32_t K = 1; K < NumSections; ++K) {
+    const uint64_t Elems =
+        recBase(End, SectionKind(K)) - recBase(First, SectionKind(K));
+    // assign() zeroes: string NULs are never written explicitly.
+    CS.Buf[K].assign(size_t(Elems * elemSize(SectionKind(K))), 0);
     CS.Sec[K] = CS.Buf[K].data();
     CS.Bias[K] = recBase(First, SectionKind(K));
   }
@@ -881,54 +1014,100 @@ bool StreamImageWriter::beginChunk(ChunkScratch &CS, uint64_t Begin,
 void StreamImageWriter::fill(ChunkScratch &CS, uint64_t I, const Cfg &G,
                              const CfgView &V, const ProgramStructureTree &T,
                              std::string_view Name) const {
-  assert(Filling && "fill before beginFill");
   assert(I >= CS.Begin && I < CS.Begin + CS.Count && "function outside chunk");
-  const FuncRecord *F = CS.Rec + (I - CS.Begin);
-  const uint64_t StrEnd = I + 1 < NumFuncs ? F[1].NameOff : Cursor.Str;
+  const FuncRecord *F = CS.Recs.data() + (I - CS.Begin);
   fillFunctionSlices(CS.Sec, CS.Bias, *F, G, V, T, Name,
-                     StrEnd - F->NameOff);
+                     F[1].NameOff - F->NameOff);
 }
 
-bool StreamImageWriter::endChunk(ChunkScratch &CS, std::string *Error) const {
-  assert(Filling && "endChunk before beginFill");
-  if (InMemory)
-    return true;
-  PST_SPAN("image.stream.fill");
-  uint64_t Bytes = 0;
-  for (uint32_t K = 0; K < NumSections; ++K) {
-    if (CS.Buf[K].empty())
-      continue;
-    const uint64_t Off =
-        Layout.SectionOffset[K] + CS.Bias[K] * elemSize(SectionKind(K));
-    if (!writeAt(Off, CS.Buf[K].data(), CS.Buf[K].size(), Error))
-      return false;
-    Bytes += CS.Buf[K].size();
+bool StreamImageWriter::endChunk(ChunkScratch &CS, std::string *Error) {
+  if (!valid())
+    return fail(Error, OpenError);
+  if (CS.Begin != Ended)
+    return fail(Error, "stream image chunk [" + std::to_string(CS.Begin) +
+                           ", " + std::to_string(CS.Begin + CS.Count) +
+                           ") ended out of order: the next chunk starts at "
+                           "function " +
+                           std::to_string(Ended));
+  PST_SPAN(InMemory ? nullptr : "image.stream.fill");
+  // Checksum first, while the chunk is still in cache. Chunks end in index
+  // order, so each section's running FNV-1a state chains exactly.
+  const uint8_t *Data[NumSections] = {};
+  uint64_t Bytes[NumSections] = {};
+  for (uint32_t K = 1; K < NumSections; ++K) {
+    Data[K] = CS.Buf[K].data();
+    Bytes[K] = CS.Buf[K].size();
   }
-  PST_COUNTER("image.stream.chunks", 1);
-  PST_COUNTER("image.stream.chunk_functions", CS.Count);
-  PST_COUNTER("image.stream.chunk_bytes", Bytes);
+  foldSections(Sum, Data, Bytes, 1);
+  uint64_t Total = 0;
+  for (uint32_t K = 1; K < NumSections; ++K) {
+    if (InMemory)
+      Seg[K].insert(Seg[K].end(), CS.Buf[K].begin(), CS.Buf[K].end());
+    else if (!pwriteAll(Spool[K], Data[K], Bytes[K], SegBytes[K]))
+      return fail(Error, "write to the " +
+                             std::string(sectionName(SectionKind(K))) +
+                             " spool of '" + TmpPath +
+                             "' failed: " + std::strerror(errno));
+    SegBytes[K] += Bytes[K];
+    Total += Bytes[K];
+  }
+  Ended += CS.Count;
+  if (!InMemory) {
+    PST_COUNTER("image.stream.chunks", 1);
+    PST_COUNTER("image.stream.chunk_functions", CS.Count);
+    PST_COUNTER("image.stream.chunk_bytes", Total);
+  }
   return true;
 }
 
 bool StreamImageWriter::finish(std::string *Error) {
   if (!valid())
     return fail(Error, OpenError);
-  assert(Filling && "finish before beginFill");
+  assert(!Finished && "finish runs once");
+  if (Added != NumFuncs || Ended != NumFuncs)
+    return fail(Error, "stream image writer finished with " +
+                           std::to_string(Added) + " shapes and " +
+                           std::to_string(Ended) + " filled functions of " +
+                           std::to_string(NumFuncs));
   PST_SPAN(InMemory ? nullptr : "image.stream.finish");
-
-  // Section checksums: in place over the arena, or one bounded-window
-  // read back over the file.
+  ImageLayout Layout;
+  finalizeSectionLayout(NumFuncs, Cursor, Layout);
+  assert(Layout.SectionOffset[uint32_t(SectionKind::FuncTable)] == TableEnd &&
+         "FuncTable moved; records landed at the wrong offset");
+  // Size the destination zero-filled: padding is never written explicitly.
+  // A file's unwritten holes read back as zero.
+  if (InMemory) {
+    Arena.assign(Layout.FileBytes, 0);
+  } else if (::ftruncate(Fd, off_t(Layout.FileBytes)) != 0) {
+    return fail(Error, "cannot size '" + TmpPath + "' to " +
+                           std::to_string(Layout.FileBytes) +
+                           " bytes: " + std::strerror(errno));
+  }
+  if (!flushRecords(Error))
+    return false;
   SectionDesc Sections[NumSections];
-  std::vector<uint8_t> Window(InMemory ? 0 : IoWindow);
   for (uint32_t K = 0; K < NumSections; ++K) {
     SectionDesc &D = Sections[K];
     D.Kind = K;
     D.Offset = Layout.SectionOffset[K];
     D.Bytes = Layout.SectionBytes[K];
-    if (InMemory)
-      D.Checksum = fnv1a(Mem + D.Offset, D.Bytes);
-    else if (!fileFnv1a(Fd, D.Offset, D.Bytes, Window, D.Checksum))
-      return fail(Error, "read back of '" + TmpPath + "' failed");
+    D.Checksum = Sum[K];
+    if (K == uint32_t(SectionKind::FuncTable))
+      continue;
+    assert(SegBytes[K] == D.Bytes && "a segment disagrees with the layout");
+    if (InMemory) {
+      if (D.Bytes)
+        std::memcpy(Arena.data() + D.Offset, Seg[K].data(), D.Bytes);
+      Seg[K] = {};
+    } else {
+      if (!copyRange(Spool[K], Fd, D.Offset, D.Bytes))
+        return fail(Error, "copy of the " +
+                               std::string(sectionName(SectionKind(K))) +
+                               " spool into '" + TmpPath +
+                               "' failed: " + std::strerror(errno));
+      ::close(Spool[K]); // Frees the spool's disk space.
+      Spool[K] = -1;
+    }
   }
 
   ImageHeader H;
@@ -942,7 +1121,7 @@ bool StreamImageWriter::finish(std::string *Error) {
   if (!writeAt(0, &H, sizeof(H), Error) ||
       !writeAt(sizeof(ImageHeader), Sections, sizeof(Sections), Error))
     return false;
-  Filling = false;
+  Finished = true;
 
   if (InMemory) {
     PST_COUNTER("image.build.images", 1);
@@ -950,6 +1129,8 @@ bool StreamImageWriter::finish(std::string *Error) {
     PST_VALUE("image.build.functions", double(NumFuncs));
     return true;
   }
+  PST_VALUE("image.stream.bytes", double(Layout.FileBytes));
+  PST_VALUE("image.stream.functions", double(NumFuncs));
   // Publish: the complete file replaces Path in one step. A reader that
   // mapped the old Path keeps the old inode and never sees a byte change.
   const int CloseRes = ::close(Fd);
@@ -965,15 +1146,15 @@ bool StreamImageWriter::finish(std::string *Error) {
 }
 
 std::vector<uint8_t> StreamImageWriter::takeBytes() {
-  assert(InMemory && !Filling && Mem && "takeBytes before a memory finish");
-  Mem = nullptr;
+  assert(InMemory && Finished && "takeBytes before a memory finish");
   return std::move(Arena);
 }
 
 namespace {
 
-/// Serial drive of \p W over \p Fns: each function's PST is built once in
-/// the shape pass and kept for the fill pass.
+/// Serial drive of \p W over \p Fns, the same per-chunk sequence as
+/// BatchAnalyzer::buildImageStream: each function's PST is built once and
+/// kept until its chunk is filled.
 bool writeCorpus(StreamImageWriter &W, std::span<const Cfg *const> Fns,
                  std::span<const std::string> Names, std::string *Error) {
   assert((Names.empty() || Names.size() == Fns.size()) &&
@@ -981,28 +1162,26 @@ bool writeCorpus(StreamImageWriter &W, std::span<const Cfg *const> Fns,
   auto NameOf = [&](size_t I) {
     return Names.empty() ? std::string_view() : std::string_view(Names[I]);
   };
+  // Chunks bound the trees and staging buffers held at once.
+  constexpr size_t ChunkFns = 4096;
   CfgViewScratch VS;
   PstBuildScratch PS;
-  std::vector<ProgramStructureTree> Trees(Fns.size());
-  for (size_t I = 0; I < Fns.size(); ++I) {
-    CfgView V = CfgView::build(*Fns[I], VS);
-    Trees[I] = ProgramStructureTree::build(V, PS);
-    if (!W.addShape(*Fns[I], Trees[I], NameOf(I), Error))
-      return false;
-  }
-  if (!W.beginFill(Error))
-    return false;
-  // Chunks bound the file destination's staging buffers; for memory a
-  // chunk is free.
-  constexpr size_t ChunkFns = 4096;
+  std::vector<ProgramStructureTree> Trees;
   StreamImageWriter::ChunkScratch CS;
   for (size_t Begin = 0; Begin < Fns.size(); Begin += ChunkFns) {
     const size_t End = std::min(Fns.size(), Begin + ChunkFns);
+    Trees.resize(End - Begin);
+    for (size_t I = Begin; I < End; ++I) {
+      CfgView V = CfgView::build(*Fns[I], VS);
+      Trees[I - Begin] = ProgramStructureTree::build(V, PS);
+      if (!W.addShape(*Fns[I], Trees[I - Begin], NameOf(I), Error))
+        return false;
+    }
     if (!W.beginChunk(CS, Begin, End - Begin, Error))
       return false;
     for (size_t I = Begin; I < End; ++I) {
       CfgView V = CfgView::build(*Fns[I], VS);
-      W.fill(CS, I, *Fns[I], V, Trees[I], NameOf(I));
+      W.fill(CS, I, *Fns[I], V, Trees[I - Begin], NameOf(I));
     }
     if (!W.endChunk(CS, Error))
       return false;
@@ -1059,17 +1238,45 @@ bool pst::verifyImageFile(const std::string &Path, std::string *Error) {
                               Actual, Error))
     return false;
 
-  std::vector<uint8_t> Window(IoWindow);
+  // Sections four at a time, each lane reading through its quarter of one
+  // IoWindow buffer.
+  uint64_t Bytes[NumSections], Sums[NumSections];
   for (uint32_t K = 0; K < NumSections; ++K) {
-    const SectionDesc &D = Table.S[K];
-    uint64_t Sum = 0;
-    if (!fileFnv1a(Fd, D.Offset, D.Bytes, Window, Sum))
-      return fail(Error, "read of corpus image '" + Path + "' failed");
-    if (Sum != D.Checksum)
+    Bytes[K] = Table.S[K].Bytes;
+    Sums[K] = Fnv1aBasis;
+  }
+  uint32_t Order[NumSections];
+  const uint32_t N = sectionsBySize(Bytes, 0, Order);
+  constexpr uint64_t LaneWindow = IoWindow / Fnv1aMaxLanes;
+  std::vector<uint8_t> Window(IoWindow);
+  for (uint32_t G = 0; G < N; G += Fnv1aMaxLanes) {
+    const unsigned Lanes = std::min<uint32_t>(Fnv1aMaxLanes, N - G);
+    uint64_t H[Fnv1aMaxLanes], Len[Fnv1aMaxLanes];
+    const void *P[Fnv1aMaxLanes];
+    for (unsigned L = 0; L < Lanes; ++L) {
+      H[L] = Fnv1aBasis;
+      P[L] = Window.data() + L * LaneWindow;
+    }
+    // Sorted by size: the group's last lane is its longest.
+    const uint64_t Longest = Bytes[Order[G + Lanes - 1]];
+    for (uint64_t At = 0; At < Longest; At += LaneWindow) {
+      for (unsigned L = 0; L < Lanes; ++L) {
+        const SectionDesc &D = Table.S[Order[G + L]];
+        Len[L] = D.Bytes > At ? std::min(LaneWindow, D.Bytes - At) : 0;
+        if (Len[L] && !preadAll(Fd, Window.data() + L * LaneWindow, Len[L],
+                                D.Offset + At))
+          return fail(Error, "read of corpus image '" + Path + "' failed");
+      }
+      fnv1aUpdateLanes(H, P, Len, Lanes);
+    }
+    for (unsigned L = 0; L < Lanes; ++L)
+      Sums[Order[G + L]] = H[L];
+  }
+  for (uint32_t K = 0; K < NumSections; ++K)
+    if (Sums[K] != Table.S[K].Checksum)
       return fail(Error, std::string("corpus image checksum mismatch in "
                                      "section ") +
                              sectionName(SectionKind(K)) + " (section " +
                              std::to_string(K) + "): the image is corrupted");
-  }
   return true;
 }

@@ -84,48 +84,37 @@ bool BatchAnalyzer::buildImageStream(uint64_t NumFunctions,
     return W.finish(Error); // Fails with the writer's open diagnostic.
 
   // Chunk storage is reused across the whole build: the high-water memory
-  // mark is one chunk of graphs + names + its staging buffers.
+  // mark is one chunk of graphs, names, trees and staging buffers.
   std::vector<Cfg> Graphs;
   std::vector<std::string> Names;
-
-  // Pass 1: stream shapes in index order. The per-function pipeline (view
-  // + PST) fans out across the pool into per-slot shapes; the writer's
-  // layout cursor then consumes them serially.
+  std::vector<ProgramStructureTree> Trees;
   std::vector<image::FunctionShape> Shapes;
-  for (uint64_t Begin = 0; Begin < NumFunctions; Begin += ChunkFunctions) {
-    const uint64_t Count =
-        std::min<uint64_t>(ChunkFunctions, NumFunctions - Begin);
-    Produce(Begin, Count, Graphs, Names);
-    assert(Graphs.size() == Count && Names.size() == Count &&
-           "producer yielded the wrong chunk size");
-    Shapes.resize(Count);
-    Pool.run(Count, Opts.ChunkSize,
-             [&](size_t CB, size_t CE, unsigned Worker) {
-               PstScratch &S = Scratches[Worker];
-               for (size_t I = CB; I < CE; ++I) {
-                 CfgView V = CfgView::build(Graphs[I], S.View);
-                 ProgramStructureTree T =
-                     ProgramStructureTree::build(V, S.PstBuild);
-                 Shapes[I] = image::functionShape(Graphs[I], T, Names[I]);
-               }
-             });
-    for (const image::FunctionShape &S : Shapes)
-      if (!W.addShape(S, Error))
-        return false;
-  }
-  if (!W.beginFill(Error))
-    return false;
-
-  // Pass 2: re-produce every chunk and fill its disjoint file slices. The
-  // PST is rebuilt per function (keeping 1M trees would defeat the bounded
-  //-memory point); distinct functions of the chunk fill concurrently.
   StreamImageWriter::ChunkScratch CS;
   for (uint64_t Begin = 0; Begin < NumFunctions; Begin += ChunkFunctions) {
     const uint64_t Count =
         std::min<uint64_t>(ChunkFunctions, NumFunctions - Begin);
     Produce(Begin, Count, Graphs, Names);
     assert(Graphs.size() == Count && Names.size() == Count &&
-           "producer replayed the wrong chunk size");
+           "producer yielded the wrong chunk size");
+    // The per-function pipeline (view + PST) fans out across the pool; the
+    // trees are kept for the fill below, so each is built once.
+    Trees.resize(Count);
+    Shapes.resize(Count);
+    Pool.run(Count, Opts.ChunkSize,
+             [&](size_t CB, size_t CE, unsigned Worker) {
+               PstScratch &S = Scratches[Worker];
+               for (size_t I = CB; I < CE; ++I) {
+                 CfgView V = CfgView::build(Graphs[I], S.View);
+                 Trees[I] = ProgramStructureTree::build(V, S.PstBuild);
+                 Shapes[I] = image::functionShape(Graphs[I], Trees[I], Names[I]);
+               }
+             });
+    // The writer's layout cursor consumes the shapes serially, in order.
+    for (const image::FunctionShape &S : Shapes)
+      if (!W.addShape(S, Error))
+        return false;
+    // Distinct functions of the chunk fill their disjoint slices
+    // concurrently; only the view is rebuilt.
     if (!W.beginChunk(CS, Begin, Count, Error))
       return false;
     Pool.run(Count, Opts.ChunkSize,
@@ -133,9 +122,7 @@ bool BatchAnalyzer::buildImageStream(uint64_t NumFunctions,
                PstScratch &S = Scratches[Worker];
                for (size_t I = CB; I < CE; ++I) {
                  CfgView V = CfgView::build(Graphs[I], S.View);
-                 ProgramStructureTree T =
-                     ProgramStructureTree::build(V, S.PstBuild);
-                 W.fill(CS, Begin + I, Graphs[I], V, T, Names[I]);
+                 W.fill(CS, Begin + I, Graphs[I], V, Trees[I], Names[I]);
                }
              });
     if (!W.endChunk(CS, Error))

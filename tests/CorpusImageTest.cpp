@@ -37,6 +37,7 @@
 #include "pst/prof/RegionProfile.h"
 #include "pst/runtime/BatchAnalyzer.h"
 #include "pst/ssa/PhiPlacement.h"
+#include "pst/support/Rng.h"
 #include "pst/workload/CfgGenerators.h"
 #include "pst/workload/Corpus.h"
 
@@ -315,6 +316,76 @@ TEST(CorpusImageRejection, MapAndVerifyFileShareOneHeaderCheck) {
     EXPECT_EQ(MapError, VerifyError) << C.What;
   }
   std::remove(Path.c_str());
+}
+
+TEST(CorpusImageRejection, VerifyNamesTheLowestBadSection) {
+  // Both checksum passes fold sections four at a time, ordered by size;
+  // the diagnostic must still name the lowest-index damaged section.
+  std::vector<uint8_t> Bad = smallImage();
+  std::string Error;
+  {
+    CorpusImage Img = CorpusImage::fromBytes(Bad, &Error);
+    ASSERT_TRUE(Img.valid()) << Error;
+    for (image::SectionKind K :
+         {image::SectionKind::SuccTo, image::SectionKind::ImmVal}) {
+      const image::SectionDesc &D = Img.section(uint32_t(K));
+      ASSERT_GT(D.Bytes, 0u);
+      Bad[D.Offset + D.Bytes / 2] ^= 0x5a;
+    }
+  }
+  const char *Needle = "section SuccTo (section 4)";
+  CorpusImage Img = CorpusImage::fromBytes(Bad, &Error);
+  ASSERT_TRUE(Img.valid()) << Error;
+  EXPECT_FALSE(Img.verify(&Error));
+  EXPECT_NE(Error.find(Needle), std::string::npos) << Error;
+
+  const std::string Path = uniqueTempPath("two_bad_sections.img");
+  writeFileBytes(Path, Bad);
+  EXPECT_FALSE(verifyImageFile(Path, &Error));
+  EXPECT_NE(Error.find(Needle), std::string::npos) << Error;
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The lockstep checksum kernel
+//===----------------------------------------------------------------------===//
+
+TEST(ImageChecksum, LanesEqualScalarFnv1a) {
+  // 1-4 lanes of unequal lengths (zero to several KB), at odd offsets
+  // into one buffer, from the basis and from a chained state.
+  std::vector<uint8_t> Buf(3 * 8192 + 16);
+  Rng R(0xf17a);
+  for (uint8_t &B : Buf)
+    B = uint8_t(R.next());
+  const uint64_t Lens[] = {0, 1, 3, 7, 64, 1021, 4096, 8191};
+  const uint64_t Offs[] = {1, 3, 8197, 16389};
+  int Cases = 0;
+  for (unsigned Lanes = 1; Lanes <= image::Fnv1aMaxLanes; ++Lanes)
+    for (unsigned Rot = 0; Rot < 8; ++Rot)
+      for (uint64_t Seed : {image::Fnv1aBasis, uint64_t(0x1234567890abcdefull)}) {
+        uint64_t H[image::Fnv1aMaxLanes], Len[image::Fnv1aMaxLanes];
+        const void *P[image::Fnv1aMaxLanes];
+        uint64_t Want[image::Fnv1aMaxLanes];
+        for (unsigned L = 0; L < Lanes; ++L) {
+          Len[L] = Lens[(Rot + 3 * L) % 8];
+          P[L] = Buf.data() + Offs[L];
+          H[L] = Seed + L;
+          Want[L] = image::fnv1aUpdate(Seed + L, P[L], Len[L]);
+        }
+        image::fnv1aUpdateLanes(H, P, Len, Lanes);
+        for (unsigned L = 0; L < Lanes; ++L)
+          EXPECT_EQ(H[L], Want[L]) << Lanes << " lanes, rotation " << Rot
+                                   << ", lane " << L << " of " << Len[L]
+                                   << " bytes";
+        ++Cases;
+      }
+  EXPECT_EQ(Cases, 64);
+  // One lane from the basis is fnv1a itself.
+  uint64_t H = image::Fnv1aBasis;
+  const void *P = Buf.data() + 5;
+  const uint64_t Len = 4099;
+  image::fnv1aUpdateLanes(&H, &P, &Len, 1);
+  EXPECT_EQ(H, image::fnv1a(Buf.data() + 5, Len));
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,8 @@
 // Coverage for the streaming million-function pipeline:
 //  1. Producer determinism: the chunked stream is chunk-oblivious (the
 //     same corpus at chunk sizes 1, 7 and 64 byte for byte) and
-//     replayable (reset() reproduces the first pass exactly) — the two
-//     properties the two-pass out-of-core build depends on.
+//     replayable (reset() reproduces the first pass exactly), so an image
+//     build sees the same functions at any chunk size.
 //  2. Byte identity: the streamed file build reproduces the in-memory
 //     buildCorpusImage output bit for bit on the 254-procedure paper
 //     corpus and on a generated stream corpus, at chunk sizes {1, 7,
@@ -19,8 +19,11 @@
 //  4. verifyImageFile: accepts a good file and rejects payload
 //     corruption, truncation and missing files with clear diagnostics —
 //     without ever mapping the whole image.
-//  5. StreamImageWriter publishes by rename: an abandoned build leaves no
-//     file behind, and a rebuild never changes a live mapping.
+//  5. The StreamImageWriter contract: the pooled build calls the producer
+//     once per chunk; interleaved and all-shapes-first drives write the
+//     same bytes; chunks must end in index order; the image is published
+//     by rename, so an abandoned build leaves no temp or spool file
+//     behind and a rebuild never changes a live mapping.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +33,7 @@
 #include "pst/core/ProgramStructureTree.h"
 #include "pst/image/CorpusImage.h"
 #include "pst/runtime/BatchAnalyzer.h"
+#include "pst/support/ThreadPool.h"
 #include "pst/workload/Corpus.h"
 
 #include "TestTempPath.h"
@@ -113,7 +117,7 @@ void writeFileBytes(const std::string &Path,
 }
 
 /// Paths in \p Path's directory that start with "<Path>.tmp." — the
-/// writer's unpublished temp files.
+/// writer's unpublished temp file and, while they have names, its spools.
 std::vector<std::string> tempFilesOf(const std::string &Path) {
   namespace fs = std::filesystem;
   const fs::path P(Path);
@@ -140,6 +144,21 @@ unsigned hardwareThreads() {
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 2;
 }
+
+/// Every function of a stream corpus, materialized, for reference builds.
+struct GeneratedCorpus {
+  std::vector<Cfg> Graphs;
+  std::vector<std::string> Names;
+  std::vector<const Cfg *> Ptrs;
+
+  explicit GeneratedCorpus(const StreamCorpusOptions &Opts)
+      : Graphs(Opts.Count), Names(Opts.Count) {
+    for (uint64_t I = 0; I < Opts.Count; ++I) {
+      generateStreamFunction(Opts, I, Graphs[I], Names[I]);
+      Ptrs.push_back(&Graphs[I]);
+    }
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // Producer determinism
@@ -241,14 +260,8 @@ TEST(StreamImageBuild, ByteIdentityOnGeneratedStreamCorpus) {
   // enough to materialize for the reference build.
   StreamCorpusOptions Opts;
   Opts.Count = 600;
-  std::vector<Cfg> All(Opts.Count);
-  std::vector<std::string> Names(Opts.Count);
-  for (uint64_t I = 0; I < Opts.Count; ++I)
-    generateStreamFunction(Opts, I, All[I], Names[I]);
-  std::vector<const Cfg *> Ptrs;
-  for (const Cfg &G : All)
-    Ptrs.push_back(&G);
-  std::vector<uint8_t> Expected = buildCorpusImage(Ptrs, Names);
+  GeneratedCorpus C(Opts);
+  std::vector<uint8_t> Expected = buildCorpusImage(C.Ptrs, C.Names);
 
   ChunkProducer Produce = streamProducer(Opts);
   for (size_t Chunk : {size_t(1), size_t(7), size_t(1024)})
@@ -262,14 +275,8 @@ TEST(StreamImageBuild, CorpusStreamIsTheCanonicalProducer) {
   // per-index regeneration must agree with the serial builder too.
   StreamCorpusOptions Opts;
   Opts.Count = 97; // Deliberately not a multiple of any chunk size.
-  std::vector<Cfg> All(Opts.Count);
-  std::vector<std::string> Names(Opts.Count);
-  for (uint64_t I = 0; I < Opts.Count; ++I)
-    generateStreamFunction(Opts, I, All[I], Names[I]);
-  std::vector<const Cfg *> Ptrs;
-  for (const Cfg &G : All)
-    Ptrs.push_back(&G);
-  std::vector<uint8_t> Expected = buildCorpusImage(Ptrs, Names);
+  GeneratedCorpus C(Opts);
+  std::vector<uint8_t> Expected = buildCorpusImage(C.Ptrs, C.Names);
 
   ChunkProducer Produce = streamProducer(Opts);
   expectStreamBuildMatches(Opts.Count, Produce, 16, 1, Expected, "canon");
@@ -450,6 +457,12 @@ TEST(StreamImageWriter, RefusesFillBeforeAllShapes) {
     std::string Error;
     EXPECT_FALSE(W.beginFill(&Error)); // Only 1 of 4 shapes recorded.
     EXPECT_FALSE(Error.empty());
+    // A chunk may not open past the added shapes either.
+    StreamImageWriter::ChunkScratch CS;
+    Error.clear();
+    EXPECT_FALSE(W.beginChunk(CS, 0, 2, &Error));
+    EXPECT_NE(Error.find("before its shapes were added"), std::string::npos)
+        << Error;
     // Unfinished: the build lives in one temp file; Path is untouched.
     EXPECT_EQ(tempFilesOf(Path).size(), 1u);
     EXPECT_FALSE(std::filesystem::exists(Path));
@@ -457,6 +470,178 @@ TEST(StreamImageWriter, RefusesFillBeforeAllShapes) {
   // The abandoned writer leaves neither the image nor its temp file.
   EXPECT_FALSE(std::filesystem::exists(Path));
   EXPECT_TRUE(tempFilesOf(Path).empty());
+}
+
+TEST(StreamImageWriter, ProducerRunsOncePerChunk) {
+  // One pass: the pooled build asks for each chunk once, in order, and
+  // never rewinds.
+  StreamCorpusOptions Opts;
+  Opts.Count = 97;
+  ChunkProducer Inner = streamProducer(Opts);
+  std::vector<std::pair<uint64_t, uint64_t>> Calls;
+  ChunkProducer Counting = [&](uint64_t Begin, uint64_t Count,
+                               std::vector<Cfg> &Graphs,
+                               std::vector<std::string> &Names) {
+    Calls.emplace_back(Begin, Count);
+    Inner(Begin, Count, Graphs, Names);
+  };
+  for (unsigned Threads : {1u, hardwareThreads()}) {
+    Calls.clear();
+    BatchOptions BO;
+    BO.NumThreads = Threads;
+    BatchAnalyzer A(BO);
+    std::string Path = uniqueTempPath("producer_once.img");
+    std::string Error;
+    ASSERT_TRUE(A.buildImageStream(Opts.Count, Counting, 16, Path, &Error))
+        << Error;
+    std::remove(Path.c_str());
+    uint64_t Total = 0;
+    for (size_t K = 0; K < Calls.size(); ++K) {
+      if (K > 0) {
+        EXPECT_GT(Calls[K].first, Calls[K - 1].first) << "call " << K;
+      }
+      Total += Calls[K].second;
+    }
+    EXPECT_EQ(Total, Opts.Count) << Threads << " threads";
+  }
+}
+
+/// Drives \p W over \p C in chunks of \p Chunk, filling each chunk's
+/// functions concurrently across \p Pool. With \p ShapesFirst every shape
+/// is added (and checked by beginFill) before the first chunk opens;
+/// otherwise each chunk's shapes are added right before it, the order
+/// buildImageStream uses.
+bool driveWriter(StreamImageWriter &W, const GeneratedCorpus &C, size_t Chunk,
+                 ThreadPool &Pool, bool ShapesFirst, std::string *Error) {
+  const uint64_t N = C.Graphs.size();
+  auto AddShapes = [&](uint64_t Begin, uint64_t End) {
+    for (uint64_t I = Begin; I < End; ++I)
+      if (!W.addShape(C.Graphs[I], ProgramStructureTree::build(C.Graphs[I]),
+                      C.Names[I], Error))
+        return false;
+    return true;
+  };
+  if (ShapesFirst && (!AddShapes(0, N) || !W.beginFill(Error)))
+    return false;
+  StreamImageWriter::ChunkScratch CS;
+  for (uint64_t Begin = 0; Begin < N; Begin += Chunk) {
+    const uint64_t End = std::min<uint64_t>(N, Begin + Chunk);
+    if (!ShapesFirst && !AddShapes(Begin, End))
+      return false;
+    if (!W.beginChunk(CS, Begin, End - Begin, Error))
+      return false;
+    Pool.run(End - Begin, 1, [&](size_t CB, size_t CE, unsigned) {
+      CfgViewScratch VS;
+      for (size_t K = CB; K < CE; ++K) {
+        const Cfg &G = C.Graphs[Begin + K];
+        CfgView V = CfgView::build(G, VS);
+        W.fill(CS, Begin + K, G, V, ProgramStructureTree::build(G),
+               C.Names[Begin + K]);
+      }
+    });
+    if (!W.endChunk(CS, Error))
+      return false;
+  }
+  return W.finish(Error);
+}
+
+TEST(StreamImageWriter, InterleavedAndShapesFirstOrdersWriteTheSameBytes) {
+  StreamCorpusOptions Opts;
+  Opts.Count = 300;
+  GeneratedCorpus C(Opts);
+  const std::vector<uint8_t> Expected = buildCorpusImage(C.Ptrs, C.Names);
+  const std::string Path = uniqueTempPath("writer_orders.img");
+  for (size_t Chunk : {size_t(1), size_t(7), size_t(1024)})
+    for (unsigned Threads : {1u, hardwareThreads()})
+      for (bool ShapesFirst : {false, true}) {
+        ThreadPool Pool(Threads);
+        const std::string What = "chunk " + std::to_string(Chunk) +
+                                 ", threads " + std::to_string(Threads) +
+                                 (ShapesFirst ? ", shapes first"
+                                              : ", interleaved");
+        std::string Error;
+        StreamImageWriter Mem(Opts.Count);
+        ASSERT_TRUE(driveWriter(Mem, C, Chunk, Pool, ShapesFirst, &Error))
+            << What << ": " << Error;
+        EXPECT_TRUE(Mem.takeBytes() == Expected) << What << ", memory";
+        StreamImageWriter File(Path, Opts.Count);
+        ASSERT_TRUE(driveWriter(File, C, Chunk, Pool, ShapesFirst, &Error))
+            << What << ": " << Error;
+        EXPECT_TRUE(readFileBytes(Path) == Expected) << What << ", file";
+      }
+  std::remove(Path.c_str());
+}
+
+TEST(StreamImageWriter, OutOfOrderEndChunkFails) {
+  StreamCorpusOptions Opts;
+  Opts.Count = 4;
+  GeneratedCorpus C(Opts);
+  StreamImageWriter W(Opts.Count);
+  std::string Error;
+  for (uint64_t I = 0; I < Opts.Count; ++I)
+    ASSERT_TRUE(W.addShape(C.Graphs[I],
+                           ProgramStructureTree::build(C.Graphs[I]),
+                           C.Names[I], &Error))
+        << Error;
+  // Chunk [2, 4) is complete, but [0, 2) has not ended: the section
+  // checksums chain only in index order, so the writer refuses it.
+  StreamImageWriter::ChunkScratch CS;
+  ASSERT_TRUE(W.beginChunk(CS, 2, 2, &Error)) << Error;
+  CfgViewScratch VS;
+  for (uint64_t I = 2; I < 4; ++I) {
+    CfgView V = CfgView::build(C.Graphs[I], VS);
+    W.fill(CS, I, C.Graphs[I], V, ProgramStructureTree::build(C.Graphs[I]),
+           C.Names[I]);
+  }
+  EXPECT_FALSE(W.endChunk(CS, &Error));
+  EXPECT_NE(Error.find("ended out of order"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("starts at function 0"), std::string::npos) << Error;
+  // Nor can the writer finish with chunks missing.
+  Error.clear();
+  EXPECT_FALSE(W.finish(&Error));
+  EXPECT_FALSE(Error.empty());
+}
+
+TEST(StreamImageWriter, AbandonedAfterSomeChunksLeavesNoFiles) {
+  // Destroyed after 2 of 5 chunks: the spools were unlinked when they were
+  // created and the temp file goes with the writer, so the directory holds
+  // nothing of the build, during it or after.
+  namespace fs = std::filesystem;
+  const fs::path Dir = uniqueTempPath("abandoned_build_dir");
+  fs::remove_all(Dir);
+  fs::create_directory(Dir);
+  const std::string Path = (Dir / "abandoned.img").string();
+  StreamCorpusOptions Opts;
+  Opts.Count = 50;
+  GeneratedCorpus C(Opts);
+  {
+    StreamImageWriter W(Path, Opts.Count);
+    ASSERT_TRUE(W.valid());
+    std::string Error;
+    StreamImageWriter::ChunkScratch CS;
+    CfgViewScratch VS;
+    for (uint64_t Begin = 0; Begin < 20; Begin += 10) {
+      for (uint64_t I = Begin; I < Begin + 10; ++I)
+        ASSERT_TRUE(W.addShape(C.Graphs[I],
+                               ProgramStructureTree::build(C.Graphs[I]),
+                               C.Names[I], &Error))
+            << Error;
+      ASSERT_TRUE(W.beginChunk(CS, Begin, 10, &Error)) << Error;
+      for (uint64_t I = Begin; I < Begin + 10; ++I) {
+        CfgView V = CfgView::build(C.Graphs[I], VS);
+        W.fill(CS, I, C.Graphs[I], V,
+               ProgramStructureTree::build(C.Graphs[I]), C.Names[I]);
+      }
+      ASSERT_TRUE(W.endChunk(CS, &Error)) << Error;
+    }
+    std::vector<std::string> During;
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+      During.push_back(E.path().filename().string());
+    ASSERT_EQ(During.size(), 1u);
+    EXPECT_EQ(During[0].rfind("abandoned.img.tmp.", 0), 0u) << During[0];
+  }
+  EXPECT_TRUE(fs::is_empty(Dir));
+  fs::remove_all(Dir);
 }
 
 TEST(StreamImageWriter, RebuildDoesNotDisturbALiveMapping) {

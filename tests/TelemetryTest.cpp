@@ -583,7 +583,8 @@ TEST_F(TelemetryTest, CounterGoldenPaperCorpus) {
 /// generated corpus image out of core, then analyze it through the
 /// windowed sink path. This pins the stream probe families
 /// (workload.gen.*, image.stream.*, batch.stream.*) alongside the
-/// per-function pipeline counters the two passes generate — and, because
+/// per-function pipeline counters of the one build pass — one producer
+/// call and one PST build per function — and, because
 /// the golden is a complete counter dump, it also proves the stream
 /// counters never leak into the materializing analyzeCorpus totals above
 /// (the paper golden would diff if they did).
@@ -592,16 +593,14 @@ TEST_F(TelemetryTest, CounterGoldenStreamPipeline) {
 
   StreamCorpusOptions SO;
   SO.Count = 96;
-  // Route both passes through the canonical chunked producer so the
-  // workload.gen.* counters are pinned too (the build calls the producer
-  // twice; Begin rewinding to 0 marks the second pass).
+  // Route the build through the canonical chunked producer so the
+  // workload.gen.* counters are pinned too (the build calls it once per
+  // chunk, in order, so the stream never needs to rewind).
   CorpusStream Stream(SO, /*ChunkFunctions=*/17);
   CorpusChunk Chunk;
   ChunkProducer Produce = [&](uint64_t Begin, uint64_t Count,
                               std::vector<Cfg> &Graphs,
                               std::vector<std::string> &Names) {
-    if (Begin == 0)
-      Stream.reset();
     ASSERT_TRUE(Stream.next(Chunk));
     ASSERT_EQ(Chunk.Begin, Begin);
     ASSERT_EQ(Chunk.size(), Count);
