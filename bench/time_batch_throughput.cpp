@@ -4,12 +4,11 @@
 // (functions/sec) at 1, 2, 4 and hardware-concurrency threads, on the
 // paper corpus and on a 10k-function generated corpus, plus the
 // steady-state heap-allocation count per analysis for the legacy
-// (allocate-per-call) path vs the scratch-reusing path, plus a
-// single-thread comparison of the warm Cfg pipeline against the shared
-// frozen-CSR CfgView pipeline (throughput and allocations per build).
+// (allocate-per-call) path vs the scratch-reusing path. Every thread count
+// must produce byte-identical analyses; the bench exits 1 if one does not.
 //
 // Emits a human-readable table on stdout and machine-readable
-// BENCH_batch.json + BENCH_pipeline.json in the working directory.
+// BENCH_batch.json in the working directory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -215,118 +214,6 @@ AllocReport measureAllocations(std::span<const Cfg *const> Fns) {
   return Report;
 }
 
-//===----------------------------------------------------------------------===//
-// Single-thread pipeline comparison: the warm per-stage Cfg path vs the
-// shared frozen-CSR CfgView path (what analyzeFunction runs). Both reuse
-// caller-owned scratch; the difference is the adjacency representation
-// every stage consumes.
-//===----------------------------------------------------------------------===//
-
-struct PathMetrics {
-  double FnsPerSec = 0;
-  double AllocsPerBuild = 0;
-};
-
-struct PipelineReport {
-  size_t Functions = 0;
-  bool Identical = false;
-  PathMetrics CfgPath;
-  PathMetrics ViewPath;
-};
-
-/// Times one warm pipeline variant over the corpus, counting allocations
-/// over the same window the throughput is measured in.
-template <class RunOne>
-PathMetrics timePath(std::span<const Cfg *const> Fns, RunOne &&Run) {
-  const double MinSeconds = 0.5;
-  size_t Rounds = 0;
-  uint64_t AllocsBefore = GAllocs.load();
-  Clock::time_point Start = Clock::now();
-  double Elapsed = 0;
-  do {
-    for (const Cfg *G : Fns)
-      Run(*G);
-    ++Rounds;
-    Elapsed = secondsSince(Start);
-  } while (Elapsed < MinSeconds);
-  PathMetrics M;
-  M.FnsPerSec = static_cast<double>(Fns.size()) * Rounds / Elapsed;
-  M.AllocsPerBuild = static_cast<double>(GAllocs.load() - AllocsBefore) /
-                     (Rounds * Fns.size());
-  return M;
-}
-
-PipelineReport measurePipeline(std::span<const Cfg *const> Fns) {
-  PipelineReport R;
-  R.Functions = Fns.size();
-
-  PstBuildScratch PB;
-  ControlRegionsScratch CR;
-  PstScratch VS;
-
-  // Warm-up doubles as the byte-identity cross-check: both paths must
-  // produce the same PST and the same control-region numbering.
-  std::vector<FunctionAnalysis> CfgOut, ViewOut;
-  CfgOut.reserve(Fns.size());
-  ViewOut.reserve(Fns.size());
-  for (const Cfg *G : Fns) {
-    FunctionAnalysis A;
-    A.Pst = ProgramStructureTree::build(*G, PB);
-    A.ControlRegions = computeControlRegionsLinearImplicit(*G, CR);
-    CfgOut.push_back(std::move(A));
-    ViewOut.push_back(analyzeFunction(*G, VS));
-  }
-  R.Identical = checksum(CfgOut) == checksum(ViewOut);
-  if (!R.Identical) {
-    std::cerr << "FATAL: CfgView pipeline diverged from the Cfg pipeline\n";
-    std::exit(1);
-  }
-
-  R.CfgPath = timePath(Fns, [&](const Cfg &G) {
-    ProgramStructureTree T = ProgramStructureTree::build(G, PB);
-    ControlRegionsResult C = computeControlRegionsLinearImplicit(G, CR);
-    (void)T;
-    (void)C;
-  });
-  R.ViewPath =
-      timePath(Fns, [&](const Cfg &G) { (void)analyzeFunction(G, VS); });
-  return R;
-}
-
-/// Pre-CfgView (PR 4) numbers on the same paper corpus, pinned from that
-/// PR's BENCH_batch.json on this machine: the trajectory target is
-/// >= 1.25x single-thread throughput and <= 24 allocations/build against
-/// these, so the report carries them for machine-readable comparison.
-constexpr double Pr4BaselineFnsPerSec = 54971.1;
-constexpr double Pr4BaselineScratchAllocs = 64.65;
-
-void writePipelineJson(const std::string &Path, const PipelineReport &R) {
-  std::ofstream OS(Path);
-  OS << "{\n";
-  pstbench::writeSchemaPreamble(OS, "pipeline", "paper",
-                                R.ViewPath.FnsPerSec);
-  OS << "  \"functions\": " << R.Functions << ",\n";
-  OS << "  \"identical_results\": " << (R.Identical ? "true" : "false")
-     << ",\n";
-  OS << "  \"single_thread\": {\n";
-  OS << "    \"cfg_path\": {\"functions_per_sec\": " << R.CfgPath.FnsPerSec
-     << ", \"allocations_per_build\": " << R.CfgPath.AllocsPerBuild << "},\n";
-  OS << "    \"cfgview_path\": {\"functions_per_sec\": " << R.ViewPath.FnsPerSec
-     << ", \"allocations_per_build\": " << R.ViewPath.AllocsPerBuild << "},\n";
-  OS << "    \"speedup\": "
-     << (R.CfgPath.FnsPerSec > 0 ? R.ViewPath.FnsPerSec / R.CfgPath.FnsPerSec
-                                 : 0)
-     << "\n";
-  OS << "  },\n";
-  OS << "  \"pre_cfgview_baseline\": {\n";
-  OS << "    \"functions_per_sec\": " << Pr4BaselineFnsPerSec << ",\n";
-  OS << "    \"allocations_per_build\": " << Pr4BaselineScratchAllocs << ",\n";
-  OS << "    \"speedup_vs_baseline\": "
-     << R.ViewPath.FnsPerSec / Pr4BaselineFnsPerSec << "\n";
-  OS << "  }\n";
-  OS << "}\n";
-}
-
 void writeJson(const std::string &Path, unsigned HwThreads,
                const std::vector<CorpusReport> &Corpora,
                const AllocReport &Allocs) {
@@ -435,21 +322,8 @@ int main(int argc, char **argv) {
                   ? Allocs.LegacyPerBuild / Allocs.ScratchPerBuild
                   : 0.0);
 
-  std::cout << "\n=== Single-thread pipeline: Cfg path vs shared CfgView ===\n";
-  PipelineReport Pipeline =
-      measurePipeline(std::span<const Cfg *const>(PaperPtrs));
-  std::printf("  cfg path    : %10.0f fns/sec  %8.1f allocations/build\n",
-              Pipeline.CfgPath.FnsPerSec, Pipeline.CfgPath.AllocsPerBuild);
-  std::printf("  cfgview path: %10.0f fns/sec  %8.1f allocations/build "
-              "(%.2fx faster, results identical)\n",
-              Pipeline.ViewPath.FnsPerSec, Pipeline.ViewPath.AllocsPerBuild,
-              Pipeline.CfgPath.FnsPerSec > 0
-                  ? Pipeline.ViewPath.FnsPerSec / Pipeline.CfgPath.FnsPerSec
-                  : 0.0);
-
   writeJson("BENCH_batch.json", Hw, Corpora, Allocs);
-  writePipelineJson("BENCH_pipeline.json", Pipeline);
-  std::cout << "\nwrote BENCH_batch.json and BENCH_pipeline.json\n";
+  std::cout << "\nwrote BENCH_batch.json\n";
 
   if (!TraceFile.empty()) {
     TraceWriter Writer;

@@ -30,34 +30,49 @@ LoweredFunction generated(uint64_t Seed, uint32_t Stmts) {
   return std::move(*L);
 }
 
+/// A generated function and its view, both built before timing, so the
+/// timed loops run solver kernels and never a snapshot.
+struct Input {
+  LoweredFunction F;
+  CfgViewScratch S;
+  CfgView V;
+  explicit Input(benchmark::State &State)
+      : F(generated(5, static_cast<uint32_t>(State.range(0)))),
+        V(CfgView::build(F.Graph, S)) {}
+  Input(const Input &) = delete; // V points into S.
+};
+
 void BM_IterativeSingleExpr(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
   for (auto _ : State) {
-    DataflowSolution S = solveIterative(F.Graph, P);
+    DataflowSolution S = solveIterative(In.V, P);
     benchmark::DoNotOptimize(S.Out.size());
   }
 }
 
 void BM_QpgSingleExpr(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
   ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
   for (auto _ : State) {
-    EdgeSolution S = solveOnQpg(F.Graph, T, P);
+    EdgeSolution S = solveOnQpg(In.V, T, P);
     benchmark::DoNotOptimize(S.EdgeValue.size());
   }
 }
 
 void BM_QpgBuildOnly(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
   ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
   for (auto _ : State) {
-    Qpg Q = buildQpg(F.Graph, T, P);
+    Qpg Q = buildQpg(In.V, T, P);
     benchmark::DoNotOptimize(Q.numNodes());
   }
 }
@@ -65,50 +80,55 @@ void BM_QpgBuildOnly(benchmark::State &State) {
 // The paper's [CCF91] comparison: SEGs end up smaller but need dominance
 // frontiers, making them costlier per instance than the PST-backed QPG.
 void BM_SegBuildOnly(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
-  DomTree DT = DomTree::buildIterative(F.Graph);
-  DominanceFrontiers DF(F.Graph, DT);
+  DomTree DT = DomTree::buildIterative(In.V);
+  DominanceFrontiers DF(In.V, DT);
   for (auto _ : State) {
-    Seg S = buildSeg(F.Graph, DT, DF, P);
+    Seg S = buildSeg(In.V, DT, DF, P);
     benchmark::DoNotOptimize(S.numNodes());
   }
 }
 
 void BM_SegBuildWithFrontiers(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
   for (auto _ : State) {
-    DomTree DT = DomTree::buildIterative(F.Graph);
-    DominanceFrontiers DF(F.Graph, DT);
-    Seg S = buildSeg(F.Graph, DT, DF, P);
+    DomTree DT = DomTree::buildIterative(In.V);
+    DominanceFrontiers DF(In.V, DT);
+    Seg S = buildSeg(In.V, DT, DF, P);
     benchmark::DoNotOptimize(S.numNodes());
   }
 }
 
 void BM_IterativeReachingDefs(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   BitVectorProblem P = makeReachingDefs(F);
   for (auto _ : State) {
-    DataflowSolution S = solveIterative(F.Graph, P);
+    DataflowSolution S = solveIterative(In.V, P);
     benchmark::DoNotOptimize(S.Out.size());
   }
 }
 
 void BM_EliminationReachingDefs(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   BitVectorProblem P = makeReachingDefs(F);
   ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
   for (auto _ : State) {
-    DataflowSolution S = solveElimination(F.Graph, T, P);
+    DataflowSolution S = solveElimination(In.V, T, P);
     benchmark::DoNotOptimize(S.Out.size());
   }
 }
 
 void BM_PstBuildGenerated(benchmark::State &State) {
-  LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  Input In(State);
+  const LoweredFunction &F = In.F;
   for (auto _ : State) {
     ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
     benchmark::DoNotOptimize(T.numRegions());

@@ -57,8 +57,10 @@ LoweredFunction generated(uint64_t Seed, uint32_t Stmts) {
 void BM_ClassicNestedRepeatUntil(benchmark::State &State) {
   LoweredFunction F = syntheticFunction(
       nestedRepeatUntilCfg(static_cast<uint32_t>(State.range(0))));
+  CfgViewScratch S; // Snapshot once, outside the timed loop.
+  const CfgView V = CfgView::build(F.Graph, S);
   for (auto _ : State) {
-    PhiPlacement P = placePhisClassic(F);
+    PhiPlacement P = placePhisClassic(F, V);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }
@@ -67,8 +69,10 @@ void BM_PstNestedRepeatUntil(benchmark::State &State) {
   LoweredFunction F = syntheticFunction(
       nestedRepeatUntilCfg(static_cast<uint32_t>(State.range(0))));
   ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  CfgViewScratch S; // Snapshot once, outside the timed loop.
+  const CfgView V = CfgView::build(F.Graph, S);
   for (auto _ : State) {
-    PhiPlacement P = placePhisPst(F, T);
+    PhiPlacement P = placePhisPst(F, V, T);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }
@@ -83,8 +87,10 @@ void BM_PstBuildNestedRepeatUntil(benchmark::State &State) {
 
 void BM_ClassicGenerated(benchmark::State &State) {
   LoweredFunction F = generated(3, static_cast<uint32_t>(State.range(0)));
+  CfgViewScratch S; // Snapshot once, outside the timed loop.
+  const CfgView V = CfgView::build(F.Graph, S);
   for (auto _ : State) {
-    PhiPlacement P = placePhisClassic(F);
+    PhiPlacement P = placePhisClassic(F, V);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }
@@ -92,8 +98,10 @@ void BM_ClassicGenerated(benchmark::State &State) {
 void BM_PstGenerated(benchmark::State &State) {
   LoweredFunction F = generated(3, static_cast<uint32_t>(State.range(0)));
   ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  CfgViewScratch S; // Snapshot once, outside the timed loop.
+  const CfgView V = CfgView::build(F.Graph, S);
   for (auto _ : State) {
-    PhiPlacement P = placePhisPst(F, T);
+    PhiPlacement P = placePhisPst(F, V, T);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }

@@ -102,6 +102,9 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
   std::cout << "\n======== " << Name << " (" << G.numNodes() << " nodes, "
             << G.numEdges() << " edges) ========\n";
 
+  // One CSR snapshot feeds the dominator, loop and interval analyses.
+  CfgViewScratch VS;
+  const CfgView V = CfgView::build(G, VS);
   ProgramStructureTree T =
       MappedPst ? *MappedPst : ProgramStructureTree::build(G);
   if (Opt.Pst) {
@@ -123,8 +126,8 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
     }
   }
   if (Opt.Dom) {
-    DomTree DT = DomTree::buildIterative(G);
-    DomTree DC = buildDominatorsViaPst(G, T);
+    DomTree DT = DomTree::buildIterative(V);
+    DomTree DC = buildDominatorsViaPst(V, T);
     std::cout << "\n-- dominator tree (idom per node) --\n";
     bool AllMatch = true;
     for (NodeId N = 0; N < G.numNodes(); ++N) {
@@ -138,8 +141,8 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
               << (AllMatch ? "matches" : "MISMATCHES") << "]\n";
   }
   if (Opt.Loops) {
-    DomTree DT = DomTree::buildIterative(G);
-    LoopInfo LI(G, DT);
+    DomTree DT = DomTree::buildIterative(V);
+    LoopInfo LI(V, DT);
     std::cout << "\n-- natural loops (" << LI.numLoops() << ") --\n";
     for (LoopId L = 0; L < LI.numLoops(); ++L) {
       const auto &Loop = LI.loop(L);
@@ -154,7 +157,7 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
                 << " irreducible retreating edge(s)\n";
   }
   if (Opt.Intervals) {
-    IntervalPartition P = computeIntervals(G);
+    IntervalPartition P = computeIntervals(V);
     std::cout << "\n-- intervals (" << P.Intervals.size() << ") --\n";
     for (const auto &I : P.Intervals) {
       std::cout << "  I(" << G.nodeName(I.Header) << ") = {";

@@ -63,9 +63,12 @@ int main() {
 
   // Region kinds drive algorithm specialization (Section 6 of the paper).
   std::cout << "\nRegion kinds:\n";
+  CfgViewScratch S;
+  const CfgView V = CfgView::build(G, S);
   for (RegionId R = 1; R < T.numRegions(); ++R)
     std::cout << "  region " << R << ": "
-              << regionKindName(classifyRegion(G, T, R)) << "\n";
+              << regionKindName(classifyRegion(collapseRegion(V, T, R)))
+              << "\n";
 
   // Dump Graphviz for visual inspection.
   std::cout << "\nGraphviz of the CFG:\n";

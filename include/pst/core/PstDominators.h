@@ -32,15 +32,14 @@
 
 namespace pst {
 
-/// Builds the dominator tree of \p G by solving each PST region's
+/// Builds the dominator tree of \p V by solving each PST region's
 /// collapsed body independently and stitching the results. Produces
-/// exactly the tree of \c DomTree::buildIterative (tested).
-DomTree buildDominatorsViaPst(const Cfg &G, const ProgramStructureTree &T);
-
-/// CfgView twin: region bodies are collapsed straight off the shared CSR
-/// adjacency. Identical trees to the \c Cfg overload on a view of the same
-/// graph.
+/// exactly the tree of \c DomTree::buildIterative (tested). Kept as the
+/// PST oracle for the production builder, not called from the library.
 DomTree buildDominatorsViaPst(const CfgView &V, const ProgramStructureTree &T);
+/// Snapshots \p G into a view (once; every region body collapses off it)
+/// and runs the builder above.
+DomTree buildDominatorsViaPst(const Cfg &G, const ProgramStructureTree &T);
 
 } // namespace pst
 

@@ -54,12 +54,8 @@ struct CollapsedBody {
   uint32_t numNodes() const { return static_cast<uint32_t>(Nodes.size()); }
 };
 
-/// Builds the collapsed body of \p R. O(size of the body).
-CollapsedBody collapseRegion(const Cfg &G, const ProgramStructureTree &T,
-                             RegionId R);
-
-/// CfgView twin: identical bodies (same quotient node and edge order) on a
-/// view of the same graph.
+/// Builds the collapsed body of \p R. O(size of the body). Callers that
+/// visit every region snapshot the graph into \p V once, outside the loop.
 CollapsedBody collapseRegion(const CfgView &V, const ProgramStructureTree &T,
                              RegionId R);
 
@@ -79,9 +75,8 @@ enum class RegionKind {
 /// Human-readable kind name ("block", "if-then", ...).
 const char *regionKindName(RegionKind K);
 
-/// Classifies the collapsed body of region \p R.
-RegionKind classifyRegion(const Cfg &G, const ProgramStructureTree &T,
-                          RegionId R);
+/// Classifies a region by its collapsed body (see \c collapseRegion).
+RegionKind classifyRegion(const CollapsedBody &B);
 
 /// Figure 7's weight: the number of nested maximal SESE regions, with
 /// blocks weighing one ("an if-then-else has a weight of two").

@@ -80,28 +80,26 @@ struct DataflowSolution {
 };
 
 /// Worklist iteration to the (unique) greatest/least fixed point.
-DataflowSolution solveIterative(const Cfg &G, const BitVectorProblem &P);
-
-/// CfgView twin of \c solveIterative: the RPO sweep reads the shared flat
-/// pred segments. Identical solutions on a view of the same graph.
 DataflowSolution solveIterative(const CfgView &V, const BitVectorProblem &P);
+/// Snapshots \p G into a view and runs the solver above.
+DataflowSolution solveIterative(const Cfg &G, const BitVectorProblem &P);
 
 /// PST elimination: bottom-up region summarization, top-down propagation.
 /// Produces the same solution as \c solveIterative for every node on every
 /// gen/kill problem (tested), touching each region body O(1) times.
+DataflowSolution solveElimination(const CfgView &V,
+                                  const ProgramStructureTree &T,
+                                  const BitVectorProblem &P);
+/// Snapshots \p G into a view (once; every region body collapses off it)
+/// and runs the solver above.
 DataflowSolution solveElimination(const Cfg &G,
                                   const ProgramStructureTree &T,
                                   const BitVectorProblem &P);
 
-/// CfgView twin of \c solveElimination (region bodies collapse straight
-/// off the shared CSR adjacency).
-DataflowSolution solveElimination(const CfgView &V,
-                                  const ProgramStructureTree &T,
-                                  const BitVectorProblem &P);
-
-/// Restates a backward problem over \p G as a forward problem over
-/// \c reverseCfg(G) (edge/node ids are preserved by reversal, so the
-/// returned solution's In/Out are the backward OUT/IN).
+/// Restates a backward problem over \p G as a forward problem over the
+/// reversed graph (\c CfgView::reversed() or \c reverseCfg; node ids are
+/// preserved by reversal, so the returned solution's In/Out are the
+/// backward OUT/IN).
 BitVectorProblem reverseProblem(const BitVectorProblem &P);
 
 } // namespace pst

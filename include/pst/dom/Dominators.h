@@ -9,16 +9,23 @@
 /// \file
 /// Dominator and postdominator trees.
 ///
-/// Two construction algorithms are provided and cross-checked in tests:
-///  * \c buildIterative - the Cooper/Harvey/Kennedy two-finger intersection
-///    over reverse postorder (simple, near-linear in practice).
+/// Three builders compute the same immediate-dominator arrays (pinned
+/// over the paper corpus in tests), each with one kernel over a \c CfgView:
+///  * \c buildIterative - the Cooper/Harvey/Kennedy (CHK) two-finger
+///    intersection over reverse postorder. This is the one production
+///    builder: it is the only one \c src/ calls (the serve layer's derived
+///    bundles, SSA, phi placement, control dependence), chosen by
+///    measurement (\c bench/time_cycleequiv_vs_domtree; EXPERIMENTS.md).
 ///  * \c buildLengauerTarjan - the classic LT79 algorithm with path
-///    compression, which is the baseline the paper benchmarks its cycle
-///    equivalence algorithm against ("runs faster than Lengauer and
-///    Tarjan's algorithm for finding dominators").
+///    compression. It stays as the paper's baseline ("runs faster than
+///    Lengauer and Tarjan's algorithm for finding dominators") and as a
+///    test oracle.
+///  * \c buildDominatorsViaPst (pst/core/PstDominators.h) - the PST
+///    divide-and-conquer builder, kept as the PST oracle.
 ///
-/// Postdominators are dominators of the reversed graph (node ids are
-/// preserved by \c reverseCfg, so the tree indexes the original nodes).
+/// Postdominators are dominators of the reversed graph: \c buildPostDom
+/// runs the CHK kernel on \c CfgView::reversed(), which preserves node ids,
+/// so the tree indexes the original nodes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,35 +42,23 @@ namespace pst {
 /// An immediate-dominator tree over the nodes of a Cfg.
 class DomTree {
 public:
-  /// Builds the dominator tree of \p G rooted at its entry, using the
+  /// Builds the dominator tree of \p V rooted at its entry, using the
   /// Cooper-Harvey-Kennedy iterative algorithm.
+  static DomTree buildIterative(const CfgView &V);
+  /// Snapshots \p G into a view and runs the kernel above.
   static DomTree buildIterative(const Cfg &G);
 
-  /// As \c buildIterative, over a frozen CSR view: RPO and the idom
-  /// fixpoint iterate the shared flat pred segments directly. Bit-identical
-  /// trees to the \c Cfg overload on a view of the same graph.
-  static DomTree buildIterative(const CfgView &V);
-
-  /// Builds the dominator tree of \p G rooted at its entry, using the
+  /// Builds the dominator tree of \p V rooted at its entry, using the
   /// Lengauer-Tarjan algorithm (the "simple" eval/link variant).
+  static DomTree buildLengauerTarjan(const CfgView &V);
+  /// Snapshots \p G into a view and runs the kernel above.
   static DomTree buildLengauerTarjan(const Cfg &G);
 
-  /// As \c buildLengauerTarjan, over a frozen CSR view: the DFS and the
-  /// semidominator passes walk the shared flat succ/pred segments directly.
-  /// Bit-identical trees to the \c Cfg overload on a view of the same
-  /// graph.
-  static DomTree buildLengauerTarjan(const CfgView &V);
-
-  /// Builds the postdominator tree of \p G (dominators of the reverse graph,
-  /// rooted at exit), using the iterative algorithm.
-  static DomTree buildPostDom(const Cfg &G);
-
-  /// As \c buildPostDom, over a frozen CSR view. No reversed graph is
-  /// materialized: the iterative algorithm runs on a \c ReversedCfgView
-  /// adapter, whose succ segments are the view's pred segments (same
-  /// ascending edge-id order \c reverseCfg produces), so the tree is
-  /// bit-identical to the \c Cfg overload.
+  /// Builds the postdominator tree of \p V (dominators of the reverse
+  /// graph, rooted at exit): \c buildIterative on \c V.reversed().
   static DomTree buildPostDom(const CfgView &V);
+  /// Snapshots \p G into a view and runs the kernel above.
+  static DomTree buildPostDom(const Cfg &G);
 
   /// Wraps an externally computed immediate-dominator array (e.g. from the
   /// PST divide-and-conquer builder); \p Idom[Root] must be InvalidNode.
@@ -112,13 +107,6 @@ public:
 private:
   void finalize(); // Builds Kids/In/Out/Depth from Idom.
 
-  // Shared iterative kernel for the Cfg, CfgView and ReversedCfgView
-  // overloads; defined (and only instantiated) in Dominators.cpp.
-  template <class GraphT> static DomTree buildIterativeImpl(const GraphT &G);
-  // Shared Lengauer-Tarjan kernel for the Cfg and CfgView overloads.
-  template <class GraphT>
-  static DomTree buildLengauerTarjanImpl(const GraphT &G);
-
   NodeId Root = InvalidNode;
   std::vector<NodeId> Idom;
   std::vector<std::vector<NodeId>> Kids;
@@ -130,13 +118,11 @@ private:
 /// not strictly dominate m.
 class DominanceFrontiers {
 public:
-  /// Computes frontiers for \p G using dominator tree \p DT (which must have
-  /// been built for \p G).
-  DominanceFrontiers(const Cfg &G, const DomTree &DT);
-
-  /// CfgView twin: walks the shared flat pred segments. Identical
-  /// frontiers to the \c Cfg overload on a view of the same graph.
+  /// Computes frontiers for \p V using dominator tree \p DT (which must have
+  /// been built for \p V).
   DominanceFrontiers(const CfgView &V, const DomTree &DT);
+  /// Snapshots \p G into a view and runs the constructor above.
+  DominanceFrontiers(const Cfg &G, const DomTree &DT);
 
   /// The frontier of \p N, sorted ascending, without duplicates.
   const std::vector<NodeId> &frontier(NodeId N) const { return DF[N]; }
@@ -153,8 +139,6 @@ public:
   }
 
 private:
-  template <class GraphT> void init(const GraphT &G, const DomTree &DT);
-
   std::vector<std::vector<NodeId>> DF;
 };
 

@@ -45,16 +45,13 @@ public:
     uint32_t Depth = 1;
   };
 
-  /// Computes natural loops of \p G using dominator tree \p DT. Only
+  /// Computes natural loops of \p V using dominator tree \p DT. Only
   /// backedges in the dominance sense contribute; irreducible cycles
   /// (retreating edges whose target does not dominate the source) are not
   /// natural loops and are reported via \c irreducibleEdges.
-  LoopInfo(const Cfg &G, const DomTree &DT);
-
-  /// CfgView twin: walks the shared flat succ/pred segments. Identical
-  /// loops (same ids, members, nesting) to the \c Cfg overload on a view
-  /// of the same graph.
   LoopInfo(const CfgView &V, const DomTree &DT);
+  /// Snapshots \p G into a view and runs the constructor above.
+  LoopInfo(const Cfg &G, const DomTree &DT);
 
   uint32_t numLoops() const { return static_cast<uint32_t>(Loops.size()); }
   const Loop &loop(LoopId L) const { return Loops[L]; }
@@ -72,10 +69,6 @@ public:
   const std::vector<EdgeId> &irreducibleEdges() const { return IrrEdges; }
 
 private:
-  // Shared construction kernel for the Cfg and CfgView overloads; defined
-  // (and only instantiated) in LoopInfo.cpp.
-  template <class GraphT> void init(const GraphT &G, const DomTree &DT);
-
   std::vector<Loop> Loops;
   std::vector<LoopId> NodeLoop;
   std::vector<EdgeId> IrrEdges;

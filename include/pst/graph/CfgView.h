@@ -10,11 +10,16 @@
 /// An immutable compressed-sparse-row snapshot of a \c Cfg, built once per
 /// function and shared by every stage of the analysis pipeline.
 ///
-/// \c Cfg stores adjacency as per-node \c std::vector succ/pred lists: good
-/// for construction, bad for the traversal-heavy analyses, which each ended
-/// up either rebuilding a private CSR (cycle equivalence) or pointer-chasing
-/// through node objects (dominators, dataflow). \c CfgView freezes the graph
-/// into six flat arrays:
+/// This is the one graph input of the analysis pipeline: cycle
+/// equivalence, PST construction, control regions, dominators and
+/// postdominators, loops, intervals, dataflow and phi placement each have
+/// a single kernel taking a \c const \c CfgView &. \c Cfg stays the mutable
+/// builder (and the \c DynamicCfg backing store); where an analysis keeps a
+/// \c const \c Cfg & entry point, that entry point snapshots a view once and
+/// calls the kernel, so no second traversal exists whose output could
+/// drift. (The brute-force baselines and oracles, and the Cfg-to-Cfg
+/// transforms, read a \c Cfg directly, each with one kernel.) The view
+/// freezes the graph into eight flat arrays:
 ///
 ///   SuccOff[N+1] / SuccEdge[E] / SuccTo[E]    outgoing CSR
 ///   PredOff[N+1] / PredEdge[E] / PredFrom[E]  incoming CSR
@@ -24,19 +29,15 @@
 /// ids *in increasing id order* — identical to \c Cfg::succEdges order,
 /// because \c Cfg only ever appends edges — and SuccTo holds the matching
 /// targets so traversals touch one cache line stream instead of hopping
-/// through the central edge table. Same for the incoming side. Analyses that
-/// iterate a reversed graph read the Pred arrays directly instead of
-/// materializing a reversed \c Cfg.
+/// through the central edge table. Same for the incoming side. Analyses of
+/// the reversed graph (postdominators) run on \c reversed(), which swaps
+/// the two sides instead of materializing a reversed \c Cfg.
 ///
 /// The view is non-owning: all storage lives in a caller-provided
-/// \c CfgViewScratch, so a worker thread reuses one warm scratch across a
-/// whole corpus and steady-state view construction performs no heap
-/// allocations. The view is invalidated by touching the scratch or the
-/// source graph.
-///
-/// \c CfgView deliberately mirrors the read API of \c Cfg (numNodes,
-/// entry, source, succEdges, ...) so analysis implementations can be written
-/// once as templates over the graph type.
+/// \c CfgViewScratch (or a mapped corpus image), so a worker thread reuses
+/// one warm scratch across a whole corpus and steady-state view
+/// construction performs no heap allocations. The view is invalidated by
+/// touching the scratch or the source graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,7 @@
 #include "pst/graph/Cfg.h"
 
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pst {
@@ -91,6 +93,22 @@ public:
                        const EdgeId *SuccEdge, const NodeId *SuccTo,
                        const EdgeId *PredEdge, const NodeId *PredFrom,
                        const NodeId *EdgeSrc, const NodeId *EdgeDst);
+
+  /// The same graph with every edge reversed and entry/exit swapped: the
+  /// succ and pred sides, and EdgeSrc and EdgeDst, trade places. Edge and
+  /// node ids are preserved, and each per-node segment keeps its ascending
+  /// edge-id order, so the view visits exactly the edges, in exactly the
+  /// order, that a materialized \c reverseCfg would. No copy: a view is
+  /// pointers.
+  CfgView reversed() const {
+    CfgView R = *this;
+    std::swap(R.EntryNode, R.ExitNode);
+    std::swap(R.SuccOffP, R.PredOffP);
+    std::swap(R.SuccEdgeP, R.PredEdgeP);
+    std::swap(R.SuccToP, R.PredFromP);
+    std::swap(R.EdgeSrcP, R.EdgeDstP);
+    return R;
+  }
 
   uint32_t numNodes() const { return N; }
   uint32_t numEdges() const { return E; }
@@ -143,31 +161,6 @@ private:
   const NodeId *PredFromP = nullptr;
   const NodeId *EdgeSrcP = nullptr;
   const NodeId *EdgeDstP = nullptr;
-};
-
-/// \c CfgView with every edge reversed, entry/exit swapped — the flat-array
-/// replacement for materializing \c reverseCfg(G). Edge ids are preserved.
-/// Because both CSR sides keep per-node lists in ascending edge-id order,
-/// iterating this adapter's succEdges visits exactly the edges (and order)
-/// that \c reverseCfg's succ lists would hold, so DFS-derived structures
-/// (postdominators in particular) are bit-identical to the legacy path.
-class ReversedCfgView {
-public:
-  explicit ReversedCfgView(const CfgView &View) : V(View) {}
-
-  uint32_t numNodes() const { return V.numNodes(); }
-  uint32_t numEdges() const { return V.numEdges(); }
-  NodeId entry() const { return V.exit(); }
-  NodeId exit() const { return V.entry(); }
-  NodeId source(EdgeId Id) const { return V.target(Id); }
-  NodeId target(EdgeId Id) const { return V.source(Id); }
-  std::span<const EdgeId> succEdges(NodeId N) const { return V.predEdges(N); }
-  std::span<const EdgeId> predEdges(NodeId N) const { return V.succEdges(N); }
-  std::span<const NodeId> succNodes(NodeId N) const { return V.predNodes(N); }
-  std::span<const NodeId> predNodes(NodeId N) const { return V.succNodes(N); }
-
-private:
-  CfgView V; // By value: a view is a handful of pointers.
 };
 
 } // namespace pst

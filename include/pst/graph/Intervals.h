@@ -43,12 +43,9 @@ struct IntervalPartition {
 };
 
 /// Computes the interval partition with headers discovered from the entry.
-IntervalPartition computeIntervals(const Cfg &G);
-
-/// CfgView twin: grows intervals off the shared flat succ/pred segments.
-/// Identical partition (same interval order and member order) to the \c Cfg
-/// overload on a view of the same graph.
 IntervalPartition computeIntervals(const CfgView &V);
+/// Snapshots \p G into a view and runs the partition above.
+IntervalPartition computeIntervals(const Cfg &G);
 
 /// Collapses each interval to one node (parallel edges deduplicated).
 /// Entry/exit map to their intervals.

@@ -16,28 +16,27 @@
 using namespace pst;
 
 /// Maps CFG node \p N to the child-of-\p R (or \p R itself) that contains
-/// it, or InvalidRegion if N is outside R's subtree.
+/// it, or InvalidRegion if N is outside R's subtree. The walk stops at
+/// R's depth: a node outside R is rejected without walking to the root,
+/// which would make collapsing every region of a deep PST quadratic.
 static RegionId liftToChild(const ProgramStructureTree &T, RegionId R,
                             NodeId N) {
+  const uint32_t Depth = T.region(R).Depth;
   RegionId Cur = T.regionOfNode(N);
+  if (Cur == InvalidRegion)
+    return InvalidRegion;
   RegionId Prev = InvalidRegion;
-  while (Cur != InvalidRegion) {
-    if (Cur == R)
-      return Prev == InvalidRegion ? R : Prev;
+  while (T.region(Cur).Depth > Depth) {
     Prev = Cur;
     Cur = T.region(Cur).Parent;
   }
-  return InvalidRegion;
+  if (Cur != R)
+    return InvalidRegion;
+  return Prev == InvalidRegion ? R : Prev;
 }
 
-namespace {
-
-/// Shared kernel of the Cfg and CfgView collapseRegion overloads; both
-/// traverse the same edge lists in the same order, so the quotient bodies
-/// come out identical.
-template <class GraphT>
-CollapsedBody collapseRegionImpl(const GraphT &G,
-                                 const ProgramStructureTree &T, RegionId R) {
+CollapsedBody pst::collapseRegion(const CfgView &G,
+                                  const ProgramStructureTree &T, RegionId R) {
   CollapsedBody B;
   std::unordered_map<uint64_t, uint32_t> QIndex; // Keyed below.
   auto NodeKey = [](NodeId N) { return uint64_t(N); };
@@ -110,18 +109,6 @@ CollapsedBody collapseRegionImpl(const GraphT &G,
   return B;
 }
 
-} // namespace
-
-CollapsedBody pst::collapseRegion(const Cfg &G, const ProgramStructureTree &T,
-                                  RegionId R) {
-  return collapseRegionImpl(G, T, R);
-}
-
-CollapsedBody pst::collapseRegion(const CfgView &V,
-                                  const ProgramStructureTree &T, RegionId R) {
-  return collapseRegionImpl(V, T, R);
-}
-
 const char *pst::regionKindName(RegionKind K) {
   switch (K) {
   case RegionKind::Block:
@@ -176,9 +163,7 @@ static bool bodyHasCycle(const CollapsedBody &B) {
   return false;
 }
 
-RegionKind pst::classifyRegion(const Cfg &G, const ProgramStructureTree &T,
-                               RegionId R) {
-  CollapsedBody B = collapseRegion(G, T, R);
+RegionKind pst::classifyRegion(const CollapsedBody &B) {
   uint32_t N = B.numNodes();
 
   if (N == 1 && B.Edges.empty())
@@ -252,6 +237,8 @@ uint32_t pst::regionWeight(const ProgramStructureTree &T, RegionId R) {
 }
 
 std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
+  CfgViewScratch S;
+  const CfgView V = CfgView::build(G, S);
   std::ostringstream OS;
   // Depth-first print of the region tree.
   std::vector<std::pair<RegionId, uint32_t>> Stack{{T.root(), 0}};
@@ -268,7 +255,7 @@ std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
          << G.nodeName(G.target(Reg.EntryEdge)) << ", "
          << G.nodeName(G.source(Reg.ExitEdge)) << "->"
          << G.nodeName(G.target(Reg.ExitEdge)) << ") "
-         << regionKindName(classifyRegion(G, T, R));
+         << regionKindName(classifyRegion(collapseRegion(V, T, R)));
     }
     OS << " [nodes:";
     for (NodeId N : T.immediateNodes(R))

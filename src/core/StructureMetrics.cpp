@@ -14,9 +14,11 @@ PstStats pst::computePstStats(const Cfg &G, const ProgramStructureTree &T) {
   PstStats S;
   S.NumRegions = T.numCanonicalRegions();
 
+  CfgViewScratch VS;
+  const CfgView V = CfgView::build(G, VS);
   double DepthSum = 0;
   for (RegionId R = 0; R < T.numRegions(); ++R) {
-    CollapsedBody B = collapseRegion(G, T, R);
+    CollapsedBody B = collapseRegion(V, T, R);
     S.MaxRegionSize = std::max(S.MaxRegionSize, B.numNodes());
     if (R == T.root())
       continue;
@@ -25,7 +27,7 @@ PstStats pst::computePstStats(const Cfg &G, const ProgramStructureTree &T) {
     S.MaxDepth = std::max(S.MaxDepth, D);
     DepthSum += D;
 
-    RegionKind K = classifyRegion(G, T, R);
+    RegionKind K = classifyRegion(B);
     S.WeightedKind[static_cast<size_t>(K)] += regionWeight(T, R);
     if (K == RegionKind::Dag || K == RegionKind::CyclicUnstructured)
       S.FullyStructured = false;

@@ -15,11 +15,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-DataflowSolution solveIterativeImpl(const GraphT &G,
-                                    const BitVectorProblem &P) {
+DataflowSolution pst::solveIterative(const CfgView &G,
+                                     const BitVectorProblem &P) {
   PST_SPAN("dataflow.solve_iterative");
   uint32_t N = G.numNodes();
   DataflowSolution S;
@@ -64,20 +61,14 @@ DataflowSolution solveIterativeImpl(const GraphT &G,
   return S;
 }
 
-} // namespace
-
 DataflowSolution pst::solveIterative(const Cfg &G,
                                      const BitVectorProblem &P) {
-  return solveIterativeImpl(G, P);
-}
-
-DataflowSolution pst::solveIterative(const CfgView &V,
-                                     const BitVectorProblem &P) {
-  return solveIterativeImpl(V, P);
+  CfgViewScratch S;
+  return solveIterative(CfgView::build(G, S), P);
 }
 
 BitVectorProblem pst::reverseProblem(const BitVectorProblem &P) {
-  // Node ids are preserved by reverseCfg, so the transfer table is reused
+  // Node ids are preserved by reversal, so the transfer table is reused
   // verbatim; only the interpretation (In<->Out) flips at the caller.
   return P;
 }
@@ -147,12 +138,9 @@ BodySolution solveBody(const CollapsedBody &B, const BitVectorProblem &P,
 
 } // namespace
 
-namespace {
-
-template <class GraphT>
-DataflowSolution solveEliminationImpl(const GraphT &G,
-                                      const ProgramStructureTree &T,
-                                      const BitVectorProblem &P) {
+DataflowSolution pst::solveElimination(const CfgView &G,
+                                       const ProgramStructureTree &T,
+                                       const BitVectorProblem &P) {
   PST_SPAN("dataflow.solve_elimination");
   PST_COUNTER("dataflow.elimination_solves", 1);
   uint32_t NumRegions = T.numRegions();
@@ -216,16 +204,9 @@ DataflowSolution solveEliminationImpl(const GraphT &G,
   return S;
 }
 
-} // namespace
-
 DataflowSolution pst::solveElimination(const Cfg &G,
                                        const ProgramStructureTree &T,
                                        const BitVectorProblem &P) {
-  return solveEliminationImpl(G, T, P);
-}
-
-DataflowSolution pst::solveElimination(const CfgView &V,
-                                       const ProgramStructureTree &T,
-                                       const BitVectorProblem &P) {
-  return solveEliminationImpl(V, T, P);
+  CfgViewScratch S;
+  return solveElimination(CfgView::build(G, S), T, P);
 }

@@ -14,11 +14,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-Seg buildSegImpl(const GraphT &G, const DomTree &DT,
-                 const DominanceFrontiers &DF, const BitVectorProblem &P) {
+Seg pst::buildSeg(const CfgView &G, const DomTree &DT,
+                  const DominanceFrontiers &DF, const BitVectorProblem &P) {
   PST_SPAN("dataflow.seg_build");
   (void)DT; // The tree is only needed to build DF; kept for symmetry.
   uint32_t N = G.numNodes();
@@ -56,7 +53,8 @@ Seg buildSegImpl(const GraphT &G, const DomTree &DT,
   S.GovernedBy.assign(N, UINT32_MAX);
   S.GovernedBy[G.entry()] = 0;
   std::vector<std::pair<uint32_t, uint32_t>> RawEdges;
-  for (NodeId V : reversePostOrder(G)) {
+  const std::vector<NodeId> RPO = reversePostOrder(G);
+  for (NodeId V : RPO) {
     if (V == G.entry())
       continue;
     if (InSeg[V]) {
@@ -84,7 +82,7 @@ Seg buildSegImpl(const GraphT &G, const DomTree &DT,
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (NodeId V : reversePostOrder(G)) {
+    for (NodeId V : RPO) {
       if (InSeg[V] || V == G.entry())
         continue;
       for (EdgeId E : G.predEdges(V)) {
@@ -122,12 +120,11 @@ Seg buildSegImpl(const GraphT &G, const DomTree &DT,
   return S;
 }
 
-template <class GraphT>
-DataflowSolution solveOnSegImpl(const GraphT &G, const DomTree &DT,
-                                const DominanceFrontiers &DF,
-                                const BitVectorProblem &P, Seg *OutSeg) {
+DataflowSolution pst::solveOnSeg(const CfgView &G, const DomTree &DT,
+                                 const DominanceFrontiers &DF,
+                                 const BitVectorProblem &P, Seg *OutSeg) {
   PST_SPAN("dataflow.seg_solve");
-  Seg S = buildSegImpl(G, DT, DF, P);
+  Seg S = buildSeg(G, DT, DF, P);
   uint32_t M = S.numNodes();
   std::vector<BitVector> In(M, P.top()), Out(M, P.top());
   In[0] = P.Boundary;
@@ -182,26 +179,15 @@ DataflowSolution solveOnSegImpl(const GraphT &G, const DomTree &DT,
   return R;
 }
 
-} // namespace
-
 Seg pst::buildSeg(const Cfg &G, const DomTree &DT,
                   const DominanceFrontiers &DF, const BitVectorProblem &P) {
-  return buildSegImpl(G, DT, DF, P);
-}
-
-Seg pst::buildSeg(const CfgView &V, const DomTree &DT,
-                  const DominanceFrontiers &DF, const BitVectorProblem &P) {
-  return buildSegImpl(V, DT, DF, P);
+  CfgViewScratch S;
+  return buildSeg(CfgView::build(G, S), DT, DF, P);
 }
 
 DataflowSolution pst::solveOnSeg(const Cfg &G, const DomTree &DT,
                                  const DominanceFrontiers &DF,
                                  const BitVectorProblem &P, Seg *OutSeg) {
-  return solveOnSegImpl(G, DT, DF, P, OutSeg);
-}
-
-DataflowSolution pst::solveOnSeg(const CfgView &V, const DomTree &DT,
-                                 const DominanceFrontiers &DF,
-                                 const BitVectorProblem &P, Seg *OutSeg) {
-  return solveOnSegImpl(V, DT, DF, P, OutSeg);
+  CfgViewScratch S;
+  return solveOnSeg(CfgView::build(G, S), DT, DF, P, OutSeg);
 }

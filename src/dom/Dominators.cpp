@@ -44,7 +44,7 @@ void DomTree::finalize() {
   }
 }
 
-template <class GraphT> DomTree DomTree::buildIterativeImpl(const GraphT &G) {
+DomTree DomTree::buildIterative(const CfgView &G) {
   DomTree T;
   T.Root = G.entry();
   uint32_t N = G.numNodes();
@@ -93,10 +93,9 @@ template <class GraphT> DomTree DomTree::buildIterativeImpl(const GraphT &G) {
   return T;
 }
 
-DomTree DomTree::buildIterative(const Cfg &G) { return buildIterativeImpl(G); }
-
-DomTree DomTree::buildIterative(const CfgView &V) {
-  return buildIterativeImpl(V);
+DomTree DomTree::buildIterative(const Cfg &G) {
+  CfgViewScratch S;
+  return buildIterative(CfgView::build(G, S));
 }
 
 namespace {
@@ -147,7 +146,7 @@ private:
 
 } // namespace
 
-template <class GraphT> DomTree DomTree::buildLengauerTarjanImpl(const GraphT &G) {
+DomTree DomTree::buildLengauerTarjan(const CfgView &G) {
   DomTree T;
   T.Root = G.entry();
   uint32_t N = G.numNodes();
@@ -208,19 +207,17 @@ template <class GraphT> DomTree DomTree::buildLengauerTarjanImpl(const GraphT &G
 }
 
 DomTree DomTree::buildLengauerTarjan(const Cfg &G) {
-  return buildLengauerTarjanImpl(G);
-}
-
-DomTree DomTree::buildLengauerTarjan(const CfgView &V) {
-  return buildLengauerTarjanImpl(V);
-}
-
-DomTree DomTree::buildPostDom(const Cfg &G) {
-  return buildIterative(reverseCfg(G));
+  CfgViewScratch S;
+  return buildLengauerTarjan(CfgView::build(G, S));
 }
 
 DomTree DomTree::buildPostDom(const CfgView &V) {
-  return buildIterativeImpl(ReversedCfgView(V));
+  return buildIterative(V.reversed());
+}
+
+DomTree DomTree::buildPostDom(const Cfg &G) {
+  CfgViewScratch S;
+  return buildPostDom(CfgView::build(G, S));
 }
 
 DomTree DomTree::fromIdom(NodeId Root, std::vector<NodeId> Idom) {
@@ -233,8 +230,7 @@ DomTree DomTree::fromIdom(NodeId Root, std::vector<NodeId> Idom) {
   return T;
 }
 
-template <class GraphT>
-void DominanceFrontiers::init(const GraphT &G, const DomTree &DT) {
+DominanceFrontiers::DominanceFrontiers(const CfgView &G, const DomTree &DT) {
   uint32_t N = G.numNodes();
   DF.assign(N, {});
   for (NodeId M = 0; M < N; ++M) {
@@ -258,11 +254,8 @@ void DominanceFrontiers::init(const GraphT &G, const DomTree &DT) {
 }
 
 DominanceFrontiers::DominanceFrontiers(const Cfg &G, const DomTree &DT) {
-  init(G, DT);
-}
-
-DominanceFrontiers::DominanceFrontiers(const CfgView &V, const DomTree &DT) {
-  init(V, DT);
+  CfgViewScratch S;
+  *this = DominanceFrontiers(CfgView::build(G, S), DT);
 }
 
 std::vector<NodeId>

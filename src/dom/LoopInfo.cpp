@@ -13,7 +13,7 @@
 
 using namespace pst;
 
-template <class GraphT> void LoopInfo::init(const GraphT &G, const DomTree &DT) {
+LoopInfo::LoopInfo(const CfgView &G, const DomTree &DT) {
   uint32_t N = G.numNodes();
   NodeLoop.assign(N, InvalidLoop);
 
@@ -111,6 +111,7 @@ template <class GraphT> void LoopInfo::init(const GraphT &G, const DomTree &DT) 
   }
 }
 
-LoopInfo::LoopInfo(const Cfg &G, const DomTree &DT) { init(G, DT); }
-
-LoopInfo::LoopInfo(const CfgView &V, const DomTree &DT) { init(V, DT); }
+LoopInfo::LoopInfo(const Cfg &G, const DomTree &DT) {
+  CfgViewScratch S;
+  *this = LoopInfo(CfgView::build(G, S), DT);
+}

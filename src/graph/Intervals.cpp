@@ -11,11 +11,7 @@
 
 using namespace pst;
 
-namespace {
-
-/// Shared kernel of the Cfg and CfgView overloads; both traverse the same
-/// edge lists in the same order, so the partitions come out identical.
-template <class GraphT> IntervalPartition computeIntervalsImpl(const GraphT &G) {
+IntervalPartition pst::computeIntervals(const CfgView &G) {
   IntervalPartition P;
   uint32_t N = G.numNodes();
   P.IntervalOf.assign(N, UINT32_MAX);
@@ -77,14 +73,9 @@ template <class GraphT> IntervalPartition computeIntervalsImpl(const GraphT &G) 
   return P;
 }
 
-} // namespace
-
 IntervalPartition pst::computeIntervals(const Cfg &G) {
-  return computeIntervalsImpl(G);
-}
-
-IntervalPartition pst::computeIntervals(const CfgView &V) {
-  return computeIntervalsImpl(V);
+  CfgViewScratch S;
+  return computeIntervals(CfgView::build(G, S));
 }
 
 Cfg pst::derivedGraph(const Cfg &G, const IntervalPartition &P) {
@@ -112,9 +103,10 @@ Cfg pst::derivedGraph(const Cfg &G, const IntervalPartition &P) {
 
 Cfg pst::limitGraph(const Cfg &G, uint32_t *Steps) {
   Cfg Cur = G;
+  CfgViewScratch S; // Reused by each derived graph's view.
   uint32_t Count = 0;
   while (true) {
-    IntervalPartition P = computeIntervals(Cur);
+    IntervalPartition P = computeIntervals(CfgView::build(Cur, S));
     if (P.Intervals.size() == Cur.numNodes())
       break; // Fixed point: no interval absorbed anything.
     Cur = derivedGraph(Cur, P);

@@ -15,10 +15,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-PhiPlacement placePhisClassicImpl(const LoweredFunction &F, const GraphT &G) {
+PhiPlacement pst::placePhisClassic(const LoweredFunction &F,
+                                   const CfgView &G) {
   PST_SPAN("ssa.phi_classic");
   PST_COUNTER("ssa.classic_placements", 1);
   DomTree DT = DomTree::buildIterative(G);
@@ -42,19 +40,21 @@ PhiPlacement placePhisClassicImpl(const LoweredFunction &F, const GraphT &G) {
   return P;
 }
 
-/// Per-region quotient machinery cached across variables: the collapsed
-/// body as a CFG with a virtual entry (so dominators are rooted), its
-/// dominance frontiers, and the quotient-node meanings.
+namespace {
+
+/// Per-region quotient machinery cached across variables: dominators and
+/// dominance frontiers of the collapsed body plus a virtual entry (so
+/// dominators are rooted), and the quotient-node meanings.
 struct RegionSolver {
-  Cfg Q;
   uint32_t VirtualEntry = 0;
   CollapsedBody Body;
   std::optional<DomTree> DT;
   std::optional<DominanceFrontiers> DF;
 
-  template <class GraphT>
-  void build(const GraphT &G, const ProgramStructureTree &T, RegionId R) {
+  void build(const CfgView &G, const ProgramStructureTree &T, RegionId R,
+             CfgViewScratch &QS) {
     Body = collapseRegion(G, T, R);
+    Cfg Q;
     for (uint32_t I = 0; I < Body.numNodes(); ++I)
       Q.addNode();
     VirtualEntry = Q.addNode("ventry");
@@ -65,14 +65,16 @@ struct RegionSolver {
     Q.addEdge(Body.ExitQ, VirtualExit);
     Q.setEntry(VirtualEntry);
     Q.setExit(VirtualExit);
-    DT.emplace(DomTree::buildIterative(Q));
-    DF.emplace(Q, *DT);
+    CfgView QV = CfgView::build(Q, QS);
+    DT.emplace(DomTree::buildIterative(QV));
+    DF.emplace(QV, *DT);
   }
 };
 
-template <class GraphT>
-PhiPlacement placePhisPstImpl(const LoweredFunction &F, const GraphT &G,
-                              const ProgramStructureTree &T) {
+} // namespace
+
+PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &G,
+                               const ProgramStructureTree &T) {
   PST_SPAN("ssa.phi_pst");
   PST_COUNTER("ssa.pst_placements", 1);
   uint32_t NumRegions = T.numRegions();
@@ -84,10 +86,11 @@ PhiPlacement placePhisPstImpl(const LoweredFunction &F, const GraphT &G,
 
   // Lazily built per-region solvers, shared across variables.
   std::vector<std::optional<RegionSolver>> Solvers(NumRegions);
+  CfgViewScratch QS; // Reused by every region's quotient view.
   auto SolverFor = [&](RegionId R) -> RegionSolver & {
     if (!Solvers[R]) {
       Solvers[R].emplace();
-      Solvers[R]->build(G, T, R);
+      Solvers[R]->build(G, T, R, QS);
     }
     return *Solvers[R];
   };
@@ -155,23 +158,13 @@ PhiPlacement placePhisPstImpl(const LoweredFunction &F, const GraphT &G,
   return P;
 }
 
-} // namespace
-
 PhiPlacement pst::placePhisClassic(const LoweredFunction &F) {
-  return placePhisClassicImpl(F, F.Graph);
-}
-
-PhiPlacement pst::placePhisClassic(const LoweredFunction &F,
-                                   const CfgView &V) {
-  return placePhisClassicImpl(F, V);
+  CfgViewScratch S;
+  return placePhisClassic(F, CfgView::build(F.Graph, S));
 }
 
 PhiPlacement pst::placePhisPst(const LoweredFunction &F,
                                const ProgramStructureTree &T) {
-  return placePhisPstImpl(F, F.Graph, T);
-}
-
-PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &V,
-                               const ProgramStructureTree &T) {
-  return placePhisPstImpl(F, V, T);
+  CfgViewScratch S;
+  return placePhisPst(F, CfgView::build(F.Graph, S), T);
 }

@@ -64,8 +64,10 @@ std::vector<EdgeId> cdepByScan(const Cfg &G, const DomTree &Pdt, NodeId N) {
 }
 
 void expectCdepMatchesScan(const Cfg &G, const char *What) {
-  DomTree Pdt = DomTree::buildPostDom(G);
-  ControlDependenceCsr Csr(G, Pdt);
+  CfgViewScratch S;
+  CfgView V = CfgView::build(G, S);
+  DomTree Pdt = DomTree::buildPostDom(V);
+  ControlDependenceCsr Csr(V, Pdt);
   size_t Total = 0;
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     std::vector<EdgeId> Expect = cdepByScan(G, Pdt, N);

@@ -70,7 +70,8 @@ TEST(Cfg, MultigraphAllowed) {
 
 TEST(Dfs, VisitsEverythingOnce) {
   Cfg G = makeDiamond();
-  DfsResult R = depthFirstSearch(G, G.entry());
+  CfgViewScratch S;
+  DfsResult R = depthFirstSearch(CfgView::build(G, S), G.entry());
   EXPECT_EQ(R.Preorder.size(), 5u);
   EXPECT_EQ(R.Postorder.size(), 5u);
   EXPECT_EQ(R.Preorder[0], G.entry());
@@ -81,7 +82,8 @@ TEST(Dfs, VisitsEverythingOnce) {
 
 TEST(Dfs, ParentEdgesFormTree) {
   Cfg G = makeDiamond();
-  DfsResult R = depthFirstSearch(G, G.entry());
+  CfgViewScratch S;
+  DfsResult R = depthFirstSearch(CfgView::build(G, S), G.entry());
   EXPECT_EQ(R.ParentEdge[G.entry()], InvalidEdge);
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     if (N == G.entry())
@@ -93,7 +95,8 @@ TEST(Dfs, ParentEdgesFormTree) {
 
 TEST(Rpo, EntryFirstExitLast) {
   Cfg G = makeDiamond();
-  std::vector<NodeId> RPO = reversePostOrder(G);
+  CfgViewScratch S;
+  std::vector<NodeId> RPO = reversePostOrder(CfgView::build(G, S));
   ASSERT_EQ(RPO.size(), 5u);
   EXPECT_EQ(RPO.front(), G.entry());
   EXPECT_EQ(RPO.back(), G.exit());

@@ -206,8 +206,9 @@ TEST(Lower, WhileLoopShape) {
   EXPECT_TRUE(isReducible(F.Graph));
   // The header must have two successors and an incoming backedge.
   bool FoundBackedge = false;
+  CfgViewScratch S;
+  DfsResult D = depthFirstSearch(CfgView::build(F.Graph, S), F.Graph.entry());
   for (EdgeId E = 0; E < F.Graph.numEdges(); ++E) {
-    DfsResult D = depthFirstSearch(F.Graph, F.Graph.entry());
     if (D.PreNum[F.Graph.target(E)] < D.PreNum[F.Graph.source(E)])
       FoundBackedge = true;
   }

@@ -91,11 +91,13 @@ TEST(LoopInfo, AgreesWithPstLoopRegions) {
   // Every region the PST classifies as a loop must contain a natural loop
   // header (for reducible graphs).
   for (const Cfg &G : {nestedWhileCfg(2, 2), nestedRepeatUntilCfg(3)}) {
-    DomTree DT = DomTree::buildIterative(G);
-    LoopInfo LI(G, DT);
+    CfgViewScratch S;
+    CfgView V = CfgView::build(G, S);
+    DomTree DT = DomTree::buildIterative(V);
+    LoopInfo LI(V, DT);
     ProgramStructureTree T = ProgramStructureTree::build(G);
     for (RegionId R = 1; R < T.numRegions(); ++R) {
-      if (classifyRegion(G, T, R) != RegionKind::Loop)
+      if (classifyRegion(collapseRegion(V, T, R)) != RegionKind::Loop)
         continue;
       bool HasHeader = false;
       for (NodeId N : T.allNodes(R))
@@ -204,8 +206,10 @@ TEST_P(IntervalsTheorem10, RegionBodiesReduceToOneInterval) {
   if (!isReducible(G))
     GTEST_SKIP() << "sample is irreducible";
   ProgramStructureTree T = ProgramStructureTree::build(G);
+  CfgViewScratch S;
+  CfgView V = CfgView::build(G, S);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    CollapsedBody B = collapseRegion(G, T, Rg);
+    CollapsedBody B = collapseRegion(V, T, Rg);
     Cfg Q;
     for (uint32_t I = 0; I < B.numNodes(); ++I)
       Q.addNode();

@@ -119,12 +119,16 @@ TEST(Pst, PaperFigure1Structure) {
 
 TEST(Pst, PaperFigure1Kinds) {
   Cfg G = paperFigure1Cfg();
+  CfgViewScratch S;
+  CfgView V = CfgView::build(G, S);
   ProgramStructureTree T = ProgramStructureTree::build(G);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(0)),
-            RegionKind::IfThenElse);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(5)), RegionKind::Loop);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(8)), RegionKind::Block);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(1)), RegionKind::Block);
+  auto KindOf = [&](EdgeId Entry) {
+    return classifyRegion(collapseRegion(V, T, T.regionEnteredBy(Entry)));
+  };
+  EXPECT_EQ(KindOf(0), RegionKind::IfThenElse);
+  EXPECT_EQ(KindOf(5), RegionKind::Loop);
+  EXPECT_EQ(KindOf(8), RegionKind::Block);
+  EXPECT_EQ(KindOf(1), RegionKind::Block);
 }
 
 TEST(Pst, RegionOfNodeFigure1) {
@@ -180,7 +184,8 @@ TEST(Pst, IrreducibleRegionClassified) {
 TEST(Pst, CollapsedBodyOfRootDiamond) {
   Cfg G = diamondLadderCfg(1);
   ProgramStructureTree T = ProgramStructureTree::build(G);
-  CollapsedBody B = collapseRegion(G, T, T.root());
+  CfgViewScratch S;
+  CollapsedBody B = collapseRegion(CfgView::build(G, S), T, T.root());
   // Root body: entry, exit, plus collapsed top-level regions.
   EXPECT_GE(B.numNodes(), 3u);
   EXPECT_TRUE(B.Nodes[B.EntryQ].Node == G.entry() ||
@@ -326,8 +331,10 @@ TEST_P(Theorem10Test, RegionBodiesOfReducibleGraphsAreReducible) {
   if (!isReducible(G))
     GTEST_SKIP() << "sample is irreducible";
   ProgramStructureTree T = ProgramStructureTree::build(G);
+  CfgViewScratch S;
+  CfgView V = CfgView::build(G, S);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    CollapsedBody B = collapseRegion(G, T, Rg);
+    CollapsedBody B = collapseRegion(V, T, Rg);
     Cfg Q;
     for (uint32_t I = 0; I < B.numNodes(); ++I)
       Q.addNode();
